@@ -37,6 +37,7 @@ from .diffop import (
     DiffOp,
     Recurrence,
     SingularityReport,
+    cleared,
     companion_matrix,
     diffop_from_json,
     diffop_from_polys,
@@ -81,6 +82,7 @@ from .certify import (
     frobenius_shadow,
     iterate_certificates,
     orbit_detect,
+    pade_ratio,
     split_elimination,
     split_pade,
     verify_certificate,

@@ -21,7 +21,8 @@ from .catalog import (
     hypergeometric_fr_operator,
 )
 from .diffop import is_mom, indicial_at_zero
-from .errors import UnknownCase
+from .certify import pade_ratio
+from .errors import ReconstructionFailed, UnknownCase
 from .fields import GF, QQ
 from .poly import Poly
 from .ratfun import RatFun
@@ -270,11 +271,8 @@ def case_independence(p, T=300):
 
 
 def _reconstruct_ratio(num_series, den_series, deg_bound):
-    from .certify import _pade_ratio
-    from .errors import ReconstructionFailed
-
     try:
-        u, v = _pade_ratio(num_series, den_series, deg_bound)
+        u, v = pade_ratio(num_series, den_series, deg_bound)
     except ReconstructionFailed:
         return None
     return RatFun(u, v)

@@ -294,8 +294,17 @@ def catalog_from_json(data):
         op = None
         if "operator" in item and item["operator"] is not None:
             op = diffop_from_json(item["operator"])
-        initial = tuple(Fraction(v) for v in item.get("initial", ["1"]))
-        entry = SeqGen(item["name"], kind, r=int(item.get("r", 0)), operator=op, initial=initial)
+        elif kind == "operator":
+            raise ParseError("an operator entry needs an operator", location=loc)
+        try:
+            initial = tuple(Fraction(v) for v in item.get("initial", ["1"]))
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ParseError(f"bad initial value: {exc}", location=f"{loc}.initial") from exc
+        try:
+            r = int(item.get("r", 0))
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ParseError(f"bad r: {exc}", location=f"{loc}.r") from exc
+        entry = SeqGen(item["name"], kind, r=r, operator=op, initial=initial)
         catalog[entry.name] = entry
     return catalog
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import series_mod_p
-from .diffop import recurrence_from, singularities, to_delta
+from .diffop import good_primes, is_mom, recurrence_from, singularities, to_delta
 from .errors import (
     BadPrime,
     HeightBoundViolated,
@@ -40,10 +40,10 @@ from .errors import (
     SylvesterSingular,
 )
 from .fields import QQ, PrimeField
-from .linalg import kernel_basis
+from .linalg import kernel_basis, mat_add, mat_mul
 from .poly import Poly
 from .ratfun import RatFun
-from .series import TruncSeries
+from .series import TruncSeries, ratfun_series
 
 L_BOUND = "L_bound"
 L2_BOUND = "L2_bound"
@@ -135,7 +135,7 @@ def split_pade(f_p, d, p, normalize=True):
         )
     ratios = []
     for r in range(1, p):
-        ratios.append(_pade_ratio(sections[r], s0, d - 1))
+        ratios.append(pade_ratio(sections[r], s0, d - 1))
     common = Poly.one(field)
     for _, v in ratios:
         common = common.lcm(v)
@@ -153,7 +153,7 @@ def split_pade(f_p, d, p, normalize=True):
     return witness
 
 
-def _pade_ratio(num_series, den_series, deg_bound):
+def pade_ratio(num_series, den_series, deg_bound):
     """Minimal (u, v), deg <= deg_bound, with u*den = v*num to the working order.
 
     Returns the gcd-reduced pair with v monic; all solutions of the linear
@@ -386,8 +386,6 @@ def assemble_certificate(seqgen, p, T=None, max_steps=6, min_length=32):
     bound 2C p^(2l) with C = 2nr, or collapses to A_{0,l} with the L-type
     bound C p^l when the orbit has no preperiod.
     """
-    from .diffop import good_primes, is_mom
-
     L = seqgen.operator
     if L is None:
         raise BadPrime(f"series {seqgen.name!r} has no operator in the catalog")
@@ -540,8 +538,6 @@ def frobenius_shadow(L, p, T, solution=None):
     n = Ld.order
     tail = Ld.monic_tail()
     # G as a list of Fraction matrices G_0..G_{T-1}
-    from .series import ratfun_series
-
     e_series = [ratfun_series(b, T) for b in tail]  # b_1 .. b_n
     G = [_zero_mat(n) for _ in range(T)]
     for k in range(T):
@@ -559,7 +555,7 @@ def frobenius_shadow(L, p, T, solution=None):
         rhs = _zero_mat(n)
         for k in range(1, m + 1):
             if any(any(v != 0 for v in row) for row in G[k]):
-                rhs = _mat_add_q(rhs, _mat_mul_q(G[k], Y[m - k]))
+                rhs = mat_add(rhs, mat_mul(G[k], Y[m - k]))
         Y.append(_sylvester_solve(rhs, G0, m, n))
 
     Tp = (T + p - 1) // p
@@ -581,7 +577,7 @@ def frobenius_shadow(L, p, T, solution=None):
         for i in range(n)
     ]
     numer = [[dLY[i][j] + scaled[i][j] for j in range(n)] for i in range(n)]
-    F = _mat_series_mul(numer, LY_inv, Tp)
+    F = mat_mul(numer, LY_inv)
 
     F0 = [[F[i][j][0] for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -638,17 +634,6 @@ def _eye(n):
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def _mat_mul_q(A, B):
-    n = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
-def _mat_add_q(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def _sylvester_solve(rhs, G0, m, n):
     """Solve (m - ad_{G0}) Y = rhs by the finite Neumann series of the nilpotent ad."""
     term = rhs
@@ -658,26 +643,12 @@ def _sylvester_solve(rhs, G0, m, n):
         if all(all(v == 0 for v in row) for row in term):
             break
         power_m = Fraction(1, m**power)
-        acc = _mat_add_q(acc, [[v * power_m for v in row] for row in term])
-        term = _mat_add_q(_mat_mul_q(G0, term), [[-v for v in row] for row in _mat_mul_q(term, G0)])
+        acc = mat_add(acc, [[v * power_m for v in row] for row in term])
+        term = mat_add(mat_mul(G0, term), [[-v for v in row] for row in mat_mul(term, G0)])
         power += 1
     else:
         raise SylvesterSingular("adjoint of G(0) is not nilpotent")
     return acc
-
-
-def _mat_series_mul(A, B, T):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = TruncSeries.zero(QQ, T)
-            for k in range(n):
-                acc = acc + A[i][k].truncate(T) * B[k][j].truncate(T)
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _mat_series_inverse(M, T):
@@ -688,7 +659,7 @@ def _mat_series_inverse(M, T):
     for m in range(1, T):
         acc = _zero_mat(n)
         for k in range(1, m + 1):
-            acc = _mat_add_q(acc, _mat_mul_q(inv[m - k], Mk[k]))
+            acc = mat_add(acc, mat_mul(inv[m - k], Mk[k]))
         inv.append([[-v for v in row] for row in acc])
     return [
         [TruncSeries(QQ, [inv[m][i][j] for m in range(T)]) for j in range(n)]

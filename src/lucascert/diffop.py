@@ -20,10 +20,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from .errors import BadPrime, LeadingZero, NotMomAtZero, NotSeriesExpandable, ParseError
 from .fields import QQ, PrimeField, is_prime
+from .linalg import mat_add, mat_mul
 from .poly import Poly
 from .ratfun import RatFun
 from .series import TruncSeries
@@ -95,8 +96,7 @@ class DiffOp:
         Uses the denominator-cleared delta form, so the residual is exact to
         the full truncation order of f.
         """
-        Ld = to_delta(self) if self.basis == D_BASIS else self
-        polys = _cleared_polys(Ld)
+        _, polys = cleared(to_delta(self))
         n = len(polys) - 1
         out = TruncSeries.zero(f.field, len(f))
         for k, pk in enumerate(polys):
@@ -374,31 +374,17 @@ def exponents_at_zero(L):
 # -- reduction mod p ------------------------------------------------------------
 
 
-def _clear_to_integer_polys(L):
-    """Common-denominator form: integer-primitive polys c_0..c_n and denominator D.
+def cleared(L):
+    """Common-denominator form (D, [N_0..N_n]) of L, in L's own basis.
 
-    L is proportional to (1/D) * sum c_i * d^i with the joint content of the
-    c_i equal to 1 and D a primitive integer polynomial.
+    D is the monic lcm of the coefficient denominators and N_k is the
+    polynomial D * coeffs[k], so that L = (1/D) sum_k N_k * d^(n-k) (or
+    delta^(n-k)).
     """
-    if L.field != QQ:
-        raise TypeError("operator must be over Q")
-    D = Poly.one(QQ)
+    D = Poly.one(L.field)
     for c in L.coeffs:
         D = D.lcm(c.den)
-    _, D = D.content_primitive()
-    cleared = [c.num * D.exact_div(c.den) for c in L.coeffs]
-    # joint content
-    den_lcm = 1
-    for poly in cleared:
-        for c in poly.coeffs:
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    g = 0
-    for poly in cleared:
-        for c in poly.coeffs:
-            g = int_gcd(g, abs(int(c * den_lcm)))
-    scale = Fraction(den_lcm, g)
-    cleared = [poly.scale(scale) for poly in cleared]
-    return cleared, D
+    return D, [c.num * D.exact_div(c.den) for c in L.coeffs]
 
 
 def reduce_op_mod_p(L, p):
@@ -410,24 +396,21 @@ def reduce_op_mod_p(L, p):
     """
     if not is_prime(p):
         raise BadPrime(f"{p} is not prime")
-    cleared, D = _clear_to_integer_polys(L)
+    if L.field != QQ:
+        raise TypeError("operator must be over Q")
+    D, polys = cleared(L)
+    # primitive integer form: the content of a set of reduced fractions is
+    # gcd(numerators) / lcm(denominators)
+    values = [c for N in polys for c in N.coeffs]
+    content = Fraction(int_gcd(*(c.numerator for c in values)),
+                       lcm(*(c.denominator for c in values)))
     Fp = PrimeField(p)
-
-    def red(poly):
-        coeffs = []
-        for c in poly.coeffs:
-            if c.denominator % p == 0:
-                raise BadPrime(f"coefficient denominator divisible by {p}")
-            coeffs.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return Poly(Fp, coeffs)
-
-    lead = red(cleared[0])
-    if lead.is_zero():
+    coeffs = [Poly(Fp, [int(c / content) for c in N.coeffs]) for N in polys]
+    if coeffs[0].is_zero():
         raise BadPrime(f"leading coefficient vanishes mod {p}")
-    if int(D.leading()) % p == 0:
+    if int(D.content_primitive()[1].leading()) % p == 0:
         raise BadPrime(f"denominator lcm leading coefficient vanishes mod {p}")
-    coeffs = [RatFun.from_poly(red(c)) for c in cleared]
-    return DiffOp(Fp, L.basis, coeffs)
+    return DiffOp(Fp, L.basis, [RatFun.from_poly(c) for c in coeffs])
 
 
 # -- p-curvature ----------------------------------------------------------------
@@ -461,28 +444,12 @@ def p_curvature(Lp):
     A1 = companion_matrix(Ld)
     A = [row[:] for row in A1]
     for _ in range(p - 1):
-        A = _mat_add(_mat_deriv(A), _mat_mul(A, A1))
+        A = mat_add([[a.derivative() for a in row] for row in A], mat_mul(A, A1))
     power = A
     for _ in range(n - 1):
-        power = _mat_mul(power, A)
+        power = mat_mul(power, A)
     nilpotent = all(entry.is_zero() for row in power for entry in row)
     return A, nilpotent
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(n)), RatFun.zero(A[0][0].field)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _mat_deriv(A):
-    return [[a.derivative() for a in row] for row in A]
 
 
 # -- good primes ------------------------------------------------------------------
@@ -501,16 +468,14 @@ def good_primes(L, bound):
     if L.field != QQ:
         raise TypeError("good primes are defined for operators over Q")
     Ld = to_d(L)
-    bad = set()
+    bad = []  # integers whose prime divisors are bad primes
 
     for a in Ld.monic_tail():
         if a.is_zero():
             continue
         _, den_prim = a.den.content_primitive()
         lam = den_prim.leading() / a.den.leading() if a.den.leading() != 0 else Fraction(1)
-        scaled_num = a.num.scale(lam)
-        for c in scaled_num.coeffs:
-            bad |= _prime_factors(c.denominator)
+        bad += [c.denominator for c in a.num.scale(lam).coeffs]
 
     report = singularities(Ld)
     prim_factors = []
@@ -518,8 +483,7 @@ def good_primes(L, bound):
         _, prim = fac.content_primitive()
         prim_factors.append(prim)
         if not QQ.is_zero(prim.eval(Fraction(0))):  # factor with nonzero roots
-            bad |= _prime_factors(int(prim.eval(Fraction(0))))
-            bad |= _prime_factors(int(prim.leading()))
+            bad += [int(prim.eval(Fraction(0))), int(prim.leading())]
 
     pairwise = Fraction(1)
     for i, F in enumerate(prim_factors):
@@ -532,24 +496,11 @@ def good_primes(L, bound):
                 F.leading() ** (2 * G.degree()) * G.leading() ** (2 * dF)
             )
     if pairwise != 0:
-        bad |= _prime_factors(pairwise.numerator)
-        bad |= _prime_factors(pairwise.denominator)
+        bad += [pairwise.numerator, pairwise.denominator]
 
-    return [p for p in range(2, bound + 1) if is_prime(p) and p not in bad]
-
-
-def _prime_factors(n):
-    n = abs(int(n))
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
+    # only primes up to bound matter, so test them by division; 0 marks nothing
+    bad = [v for v in bad if v]
+    return [p for p in range(2, bound + 1) if is_prime(p) and all(v % p for v in bad)]
 
 
 # -- recurrence extraction ----------------------------------------------------------
@@ -581,10 +532,7 @@ def recurrence_from(L):
     Ld = to_delta(L)
     field = Ld.field
     n = Ld.order
-    den_lcm = Poly.one(field)
-    for c in Ld.coeffs:
-        den_lcm = den_lcm.lcm(c.den)
-    polys = [c.num * den_lcm.exact_div(c.den) for c in Ld.coeffs]  # decreasing delta order
+    _, polys = cleared(Ld)  # decreasing delta order
     span = max(p.degree() for p in polys if not p.is_zero())
     Q = []
     for j in range(span + 1):
@@ -674,6 +622,8 @@ def diffop_from_json(data, field=QQ):
         den = entry.get("den", [1])
         if not isinstance(num, list) or not isinstance(den, list):
             raise ParseError("num/den must be integer arrays", location=loc)
+        if any(isinstance(v, (bool, float)) for v in num + den):
+            raise ParseError("coefficients must be integers, not floats or booleans", location=loc)
         try:
             npoly = Poly(field, [field.coerce(int(v)) for v in num])
             dpoly = Poly(field, [field.coerce(int(v)) for v in den])
@@ -687,12 +637,3 @@ def diffop_from_json(data, field=QQ):
     if coeffs[-1].is_zero():
         raise ParseError("operator is zero", location="coeffs")
     return DiffOp(field, basis, list(reversed(coeffs)))
-
-
-def _cleared_polys(Ld):
-    """Denominator-cleared polynomial coefficients of a delta-basis operator."""
-    field = Ld.field
-    den_lcm = Poly.one(field)
-    for c in Ld.coeffs:
-        den_lcm = den_lcm.lcm(c.den)
-    return [c.num * den_lcm.exact_div(c.den) for c in Ld.coeffs]

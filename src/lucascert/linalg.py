@@ -1,4 +1,7 @@
-"""Small dense exact linear algebra over Q or F_p (RREF, kernel bases)."""
+"""Small dense exact linear algebra over Q or F_p (RREF, kernel bases, matrix products)."""
+
+from functools import reduce
+from operator import add, mul
 
 
 def rref(field, rows):
@@ -47,3 +50,12 @@ def kernel_basis(field, rows, ncols):
             vec[pc] = field.neg(mat[r][fc])
         basis.append(vec)
     return basis
+
+
+def mat_mul(A, B):
+    """Matrix product for entries of any ring (Fraction, RatFun, TruncSeries)."""
+    return [[reduce(add, map(mul, row, col)) for col in zip(*B)] for row in A]
+
+
+def mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]

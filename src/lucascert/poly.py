@@ -19,8 +19,10 @@ from .fields import QQ, PrimeField
 
 _X = sympy.Symbol("z")
 
-# below this size schoolbook convolution beats the packing overhead
-_KRONECKER_CUTOFF = 24
+# Kronecker packing costs about one conversion per operand coefficient,
+# schoolbook one field multiply per coefficient pair: pack once the pairs
+# outnumber the coefficients this many times over
+_KRONECKER_CUTOFF = 2
 
 
 class Poly:
@@ -117,19 +119,8 @@ class Poly:
 
     def __mul__(self, other):
         self._check(other)
-        f = self.field
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(f)
-        if isinstance(f, PrimeField) and min(len(a), len(b)) >= _KRONECKER_CUTOFF:
-            return Poly(f, _kronecker_mul(a, b, f.p))
-        out = [f.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if f.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = f.add(out[i + j], f.mul(x, y))
-        return Poly(f, out)
+        return Poly(self.field, convolve(self.field, a, b, len(a) + len(b) - 1))
 
     def scale(self, c):
         f = self.field
@@ -405,16 +396,38 @@ def _det(field, rows):
     return det
 
 
-def _kronecker_mul(a, b, p):
-    """Multiply coefficient tuples over F_p by packing into one big integer."""
+def convolve(field, a, b, n):
+    """The first n coefficients of the product of coefficient sequences a and b.
+
+    The one product loop of the library, shared by Poly and TruncSeries.
+    Over F_p, operands that are long enough go through Kronecker
+    substitution; everything else is schoolbook, skipping zero terms.
+    """
+    a, b = a[:n], b[:n]
+    if not a or not b:
+        return [field.zero] * n
+    if isinstance(field, PrimeField) and len(a) * len(b) >= _KRONECKER_CUTOFF * (len(a) + len(b)):
+        out = _kronecker_mul(a, b, field.p, n)
+        return out + [0] * (n - len(out))
+    add, mul = field.add, field.mul
+    terms = [(j, y) for j, y in enumerate(b) if not field.is_zero(y)]
+    out = [field.zero] * n
+    for i, x in enumerate(a):
+        if field.is_zero(x):
+            continue
+        for j, y in terms:
+            if i + j >= n:
+                break
+            out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def _kronecker_mul(a, b, p, n):
+    """First n product coefficients over F_p, by packing each operand into one big integer."""
     cell_bits = (min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 1
     width = (cell_bits + 7) // 8
     ia = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
     ib = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
-    prod = ia * ib
-    out_len = len(a) + len(b) - 1
-    raw = prod.to_bytes(width * (out_len + 1), "little")
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little") % p
-        for i in range(out_len)
-    ]
+    n = min(n, len(a) + len(b) - 1)
+    raw = (ia * ib).to_bytes(width * (len(a) + len(b)), "little")
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") % p for i in range(n)]

@@ -14,9 +14,7 @@ from fractions import Fraction
 
 from .errors import NotPLocal, NotSeriesExpandable
 from .fields import QQ, PrimeField, reduce_rat_mod_p
-from .poly import Poly, _kronecker_mul
-
-_KRONECKER_CUTOFF = 24
+from .poly import Poly, convolve
 
 
 class TruncSeries:
@@ -97,38 +95,14 @@ class TruncSeries:
         self._check(other)
         f = self.field
         T = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs[:T], other.coeffs[:T]
-        if isinstance(f, PrimeField) and T >= _KRONECKER_CUTOFF:
-            return TruncSeries(f, _kronecker_mul(a, b, f.p)[:T])
-        out = [f.zero] * T
-        for i, x in enumerate(a):
-            if f.is_zero(x):
-                continue
-            for j in range(T - i):
-                y = b[j]
-                if not f.is_zero(y):
-                    out[i + j] = f.add(out[i + j], f.mul(x, y))
-        return TruncSeries(f, out)
+        return TruncSeries(f, convolve(f, self.coeffs, other.coeffs, T))
 
     def mul_poly(self, p):
         """Multiply by an exact polynomial; keeps this series' truncation order."""
         if p.field != self.field:
             raise TypeError("series/polynomial fields do not match")
         f = self.field
-        T = len(self.coeffs)
-        if p.is_zero():
-            return TruncSeries.zero(f, T)
-        if isinstance(f, PrimeField) and T >= _KRONECKER_CUTOFF:
-            return TruncSeries(f, _kronecker_mul(self.coeffs, p.coeffs, f.p)[:T])
-        out = [f.zero] * T
-        for i, x in enumerate(p.coeffs):
-            if f.is_zero(x):
-                continue
-            for j in range(T - i):
-                y = self.coeffs[j]
-                if not f.is_zero(y):
-                    out[i + j] = f.add(out[i + j], f.mul(x, y))
-        return TruncSeries(f, out)
+        return TruncSeries(f, convolve(f, self.coeffs, p.coeffs, len(self.coeffs)))
 
     def scale(self, c):
         f = self.field
@@ -284,9 +258,7 @@ def ratfun_series(a, T):
     """Expand a rational function with no pole at 0 to order T."""
     if a.has_pole_at_zero():
         raise NotSeriesExpandable(f"{a!r} has a pole at 0")
-    num = TruncSeries.from_poly(a.num, T)
-    den = TruncSeries.from_poly(a.den, T)
-    return num * den.inverse()
+    return TruncSeries.from_poly(a.num, T).div_poly(a.den)
 
 
 def section_decomposition(f, p):

@@ -57,6 +57,34 @@ def test_opinfo_json(f2_op_path, capsys):
     assert info["p_curvature_nilpotent"]["3"] is True
 
 
+OPERATOR = {"basis": "d", "coeffs": [{"num": [-2]}, {"num": [1, -4]}]}
+
+
+@pytest.mark.parametrize(
+    "entry,location",
+    [
+        ({"name": "x", "kind": "operator", "operator": OPERATOR, "initial": ["abc"]},
+         "entry[0].initial"),
+        ({"name": "x", "kind": "binom_power", "r": "two"}, "entry[0].r"),
+        ({"name": "x", "kind": "operator"}, "entry[0]"),
+    ],
+    ids=["initial-abc", "r-two", "operator-missing"],
+)
+def test_bad_catalog_entry_is_parse_error(tmp_path, capsys, entry, location):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["expand", "x", "--T", "64", "--catalog", str(path)]) == 1
+    assert f"(at {location})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [-2.7, True], ids=["float", "bool"])
+def test_operator_coefficient_must_be_integer(tmp_path, capsys, value):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"basis": "d", "coeffs": [{"num": [value]}, {"num": [1, -4]}]}))
+    assert main(["opinfo", str(path)]) == 1
+    assert "(at coeffs[0])" in capsys.readouterr().err
+
+
 def test_opinfo_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

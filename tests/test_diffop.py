@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from math import comb
 
@@ -12,6 +13,7 @@ from lucascert import (
     NotMomAtZero,
     Poly,
     RatFun,
+    cleared,
     default_catalog,
     diffop_from_json,
     diffop_from_polys,
@@ -306,6 +308,18 @@ def test_good_primes_zero_only_singularity():
     assert good_primes(L, 20) == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+def test_good_primes_huge_singular_point():
+    # (1 - N z) d - 2 with N = 998244353 * 1000000007: the singular point 1/N
+    # makes N a bad integer, which must not be factored
+    N = 998244359987710471
+    start = time.perf_counter()
+    L = diffop_from_polys(QQ, "d", [[-2], [1, -N]])
+    assert good_primes(L, 20) == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert time.perf_counter() - start < 1
+    L13 = diffop_from_polys(QQ, "d", [[-2], [1, -13 * N]])
+    assert good_primes(L13, 20) == [2, 3, 5, 7, 11, 17, 19]
+
+
 def test_good_primes_subset_of_reducible():
     for name in ("g1", "g2", "g3", "f2", "f3", "apery"):
         L = CAT[name].operator
@@ -314,6 +328,24 @@ def test_good_primes_subset_of_reducible():
             Lp = reduce_op_mod_p(L, p)  # must not raise
             assert Lp.order == L.order
             assert singularities(Lp).count_r <= r
+
+
+# -- cleared form ----------------------------------------------------------------------
+
+
+def test_cleared_is_monic_common_denominator():
+    for entry in CAT.values():
+        if entry.operator is None:
+            continue
+        for L in (to_d(entry.operator), to_delta(entry.operator)):
+            # the monic normalization has proper denominators to clear
+            monic = L.scale(RatFun(Poly.one(QQ), L.coeffs[0].num))
+            for M, degree in ((L, 0), (monic, L.coeffs[0].num.degree())):
+                D, polys = cleared(M)
+                assert D.leading() == 1 and D.degree() == degree
+                assert len(polys) == len(M.coeffs)
+                for N, c in zip(polys, M.coeffs):
+                    assert RatFun.from_poly(N) == c * RatFun.from_poly(D)
 
 
 # -- recurrences -------------------------------------------------------------------------

@@ -127,13 +127,42 @@ def test_inverse():
     assert g.eq_to_order(TruncSeries.one(F, 40))
 
 
-def test_kronecker_series_mul_matches_schoolbook():
-    rng = random.Random(13)
-    F = GF(5)
-    a = TruncSeries(F, [rng.randrange(5) for _ in range(80)])
-    b = TruncSeries(F, [rng.randrange(5) for _ in range(80)])
-    out = [0] * 80
-    for i in range(80):
-        for j in range(80 - i):
-            out[i + j] = (out[i + j] + a[i] * b[j]) % 5
-    assert (a * b).coeffs == tuple(out)
+CONVOLVE_SHAPES = [
+    (kind, p, la, lb)
+    for kind in ("poly", "series", "mul_poly")
+    for p in (5, 2**31 - 1)
+    for la, lb in [(1, 1), (1, 80), (2, 80), (3, 3), (4, 4), (3, 6), (6, 3), (23, 23),
+                   (23, 25), (24, 24), (24, 80), (25, 25), (25, 1), (80, 80), (80, 23)]
+]
+
+
+@pytest.mark.parametrize(
+    "kind,p,la,lb", CONVOLVE_SHAPES, ids=[f"{k}-p{p}-{la}x{lb}" for k, p, la, lb in CONVOLVE_SHAPES]
+)
+def test_kronecker_series_mul_matches_schoolbook(kind, p, la, lb):
+    """Both product routes (Kronecker, schoolbook) against a plain double loop.
+
+    Poly keeps the full product; TruncSeries * TruncSeries truncates to the
+    shorter operand and mul_poly to the series, both shorter than the product.
+    """
+    rng = random.Random(13 + la * 100 + lb)
+    F = GF(p)
+
+    def draw(n):  # about a fifth zeros, nonzero last coefficient
+        cs = [rng.randrange(p) if rng.random() > 0.2 else 0 for _ in range(n)]
+        return cs[:-1] + [rng.randrange(1, p)]
+
+    a, b = draw(la), draw(lb)
+    n = {"poly": la + lb - 1, "series": min(la, lb), "mul_poly": la}[kind]
+    out = [0] * n
+    for i in range(la):
+        for j in range(lb):
+            if i + j < n:
+                out[i + j] = (out[i + j] + a[i] * b[j]) % p
+    if kind == "poly":
+        got = (Poly(F, a) * Poly(F, b)).coeffs
+    elif kind == "series":
+        got = (TruncSeries(F, a) * TruncSeries(F, b)).coeffs
+    else:
+        got = TruncSeries(F, a).mul_poly(Poly(F, b)).coeffs
+    assert got == tuple(out)
