@@ -38,7 +38,7 @@ from .diffop import (
     Recurrence,
     SingularityReport,
     cleared,
-    companion_matrix,
+    companion,
     diffop_from_json,
     diffop_from_polys,
     diffop_to_json,

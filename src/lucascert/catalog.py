@@ -288,6 +288,8 @@ def catalog_from_json(data):
         loc = f"entry[{i}]"
         if not isinstance(item, dict) or "name" not in item or "kind" not in item:
             raise ParseError("entry must have name and kind", location=loc)
+        if not isinstance(item["name"], str):
+            raise ParseError("name must be a string", location=f"{loc}.name")
         kind = item["kind"]
         if kind not in KINDS:
             raise ParseError(f"unknown kind {kind!r}", location=loc)
@@ -300,10 +302,11 @@ def catalog_from_json(data):
             initial = tuple(Fraction(v) for v in item.get("initial", ["1"]))
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"bad initial value: {exc}", location=f"{loc}.initial") from exc
-        try:
-            r = int(item.get("r", 0))
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise ParseError(f"bad r: {exc}", location=f"{loc}.r") from exc
+        r = 0
+        if kind in ("binom_power", "f_r"):
+            r = item.get("r")
+            if type(r) is not int or r < 1:  # type() also rejects bool
+                raise ParseError(f"r must be an integer >= 1, got {r!r}", location=f"{loc}.r")
         entry = SeqGen(item["name"], kind, r=r, operator=op, initial=initial)
         catalog[entry.name] = entry
     return catalog

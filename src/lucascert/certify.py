@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import series_mod_p
-from .diffop import good_primes, is_mom, recurrence_from, singularities, to_delta
+from .diffop import companion, good_primes, is_mom, recurrence_from, singularities, to_delta
 from .errors import (
     BadPrime,
     HeightBoundViolated,
@@ -536,15 +536,15 @@ def frobenius_shadow(L, p, T, solution=None):
     if Ld.field != QQ:
         raise TypeError("the Frobenius shadow is computed over Q")
     n = Ld.order
-    tail = Ld.monic_tail()
+    den, M = companion(Ld)
     # G as a list of Fraction matrices G_0..G_{T-1}
-    e_series = [ratfun_series(b, T) for b in tail]  # b_1 .. b_n
+    last_row = [ratfun_series(RatFun(m, den), T) for m in M[n - 1]]
     G = [_zero_mat(n) for _ in range(T)]
     for k in range(T):
         for i in range(n - 1):
             G[k][i][i + 1] = Fraction(1) if k == 0 else Fraction(0)
         for j in range(n):
-            G[k][n - 1][j] = -e_series[n - 1 - j][k]
+            G[k][n - 1][j] = last_row[j][k]
     G0 = G[0]
     if any(G0[n - 1][j] != 0 for j in range(n)):
         raise SylvesterSingular("operator is not MOM at zero: G(0) has a nonzero last row")

@@ -35,9 +35,8 @@ from .errors import (
     NoCycleFound,
     ParseError,
     ReconstructionFailed,
-    UnknownCase,
-    UnknownSeries,
 )
+from .fields import is_prime
 from .poly import format_poly
 
 EXIT_OK = 0
@@ -50,14 +49,15 @@ MIN_T = 64
 
 
 def _parse_primes(text, allow_two):
-    from .fields import is_prime
-
     primes = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        p = int(part)
+        try:
+            p = int(part)
+        except ValueError:
+            raise ParseError(f"{part!r} is not an integer", location="--primes") from None
         if not is_prime(p):
             raise BadPrime(f"{p} is not prime")
         if p == 2 and not allow_two:
@@ -67,15 +67,14 @@ def _parse_primes(text, allow_two):
 
 
 def _load_cat(args):
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return load_catalog(args.catalog)
     return default_catalog()
 
 
 def _emit(args, text):
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -163,54 +162,72 @@ def cmd_casebook(args):
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error; here 2 means verification failure
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lucascert",
         description="Holonomic series mod p: operator analysis and Lucas-type certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_primes=True):
-        sp.add_argument("--T", type=int, default=512, help="truncation order (>= 64)")
-        if with_primes:
-            sp.add_argument(
-                "--primes",
-                default=",".join(str(p) for p in DEFAULT_PRIMES),
-                help="comma-separated primes (2 excluded unless --allow-two)",
-            )
-            sp.add_argument("--allow-two", action="store_true", help="permit p = 2")
+    def series_options(sp, T_default):
+        sp.add_argument("series")
+        default = T_default or "from the height bound"
+        sp.add_argument("--T", type=int, default=T_default,
+                        help=f"truncation order (>= {MIN_T}; default {default})")
         sp.add_argument("--catalog", help="path to a catalog JSON file")
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
+
+    def prime_options(sp):
+        sp.add_argument(
+            "--primes",
+            default=",".join(str(p) for p in DEFAULT_PRIMES),
+            help="comma-separated primes (2 excluded unless --allow-two)",
+        )
+        sp.add_argument("--allow-two", action="store_true", help="permit p = 2")
+
+    def output_options(sp, formats=None):
+        if formats:
+            sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--out", help="write output to a file instead of stdout")
 
     sp = sub.add_parser("expand", help="print exact coefficients of a catalog series")
-    sp.add_argument("series")
-    common(sp, with_primes=False)
+    series_options(sp, 512)
+    output_options(sp, ("text", "json"))
     sp.set_defaults(fn=cmd_expand)
 
     sp = sub.add_parser("opinfo", help="analyze an operator JSON file")
     sp.add_argument("operator", help="path to operator JSON")
     sp.add_argument("--bound", type=int, default=20, help="good-prime search bound")
-    common(sp)
+    prime_options(sp)
+    output_options(sp, ("text", "json"))
     sp.set_defaults(fn=cmd_opinfo)
 
     sp = sub.add_parser("certify", help="build a Lucas-type certificate")
-    sp.add_argument("series")
     sp.add_argument("-p", type=int, required=True, dest="p")
-    common(sp, with_primes=False)
     # without an explicit --T the library picks an order from the height bound
-    sp.set_defaults(fn=cmd_certify, T=None)
+    series_options(sp, None)
+    output_options(sp)
+    sp.set_defaults(fn=cmd_certify)
 
     sp = sub.add_parser("casebook", help="run worked-example cases")
     sp.add_argument("cases", nargs="+", help=f"case ids ({', '.join(case_ids())}) or 'all'")
-    common(sp)
+    prime_options(sp)
+    output_options(sp, ("json", "csv"))
     sp.set_defaults(fn=cmd_casebook)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error already reported
+        return exc.code
     T = getattr(args, "T", None)
     if T is not None and T < MIN_T:
         print(f"error: --T must be >= {MIN_T}", file=sys.stderr)
@@ -223,10 +240,7 @@ def main(argv=None):
     except (ReconstructionFailed, NoCycleFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (UnknownSeries, UnknownCase, ParseError, BadPrime, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LucascertError as exc:
+    except (LucascertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

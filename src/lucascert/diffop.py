@@ -184,7 +184,7 @@ def to_delta(L):
         for k in range(i + 1):
             s = stirling_first(i, k)
             if s:
-                out[k] = out[k] + base.scale(field.coerce(Fraction(s) if field == QQ else s))
+                out[k] = out[k] + base.scale(s)
     coeffs = list(reversed(out))
     return DiffOp(field, DELTA_BASIS, _strip_common_z(coeffs))
 
@@ -204,9 +204,7 @@ def to_d(L):
         for k in range(j + 1):
             s = stirling_second(j, k)
             if s:
-                out[k] = out[k] + (b * zpow[k]).scale(
-                    field.coerce(Fraction(s) if field == QQ else s)
-                )
+                out[k] = out[k] + (b * zpow[k]).scale(s)
     coeffs = list(reversed(out))
     return DiffOp(field, D_BASIS, _strip_common_z(coeffs))
 
@@ -416,40 +414,42 @@ def reduce_op_mod_p(L, p):
 # -- p-curvature ----------------------------------------------------------------
 
 
-def companion_matrix(L):
-    """Companion matrix of the monic normalization in the operator's own basis."""
-    n = L.order
-    field = L.field
-    tail = L.monic_tail()
-    mat = [[RatFun.zero(field) for _ in range(n)] for _ in range(n)]
-    for i in range(n - 1):
-        mat[i][i + 1] = RatFun.one(field)
-    for j in range(n):
-        mat[n - 1][j] = -tail[n - 1 - j]
-    return mat
+def companion(L):
+    """Companion system (den, M) of L in its own basis; M/den is the companion matrix.
+
+    From `cleared(L)`'s N_0..N_n: den = N_0, M has den on the superdiagonal
+    and last row (-N_n, ..., -N_1).  No gcd is taken.
+    """
+    _, N = cleared(L)
+    n = len(N) - 1
+    den, zero = N[0], Poly.zero(L.field)
+    M = [[den if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
+    M.append([-N[n - j] for j in range(n)])
+    return den, M
 
 
 def p_curvature(Lp):
     """p-th iterate of A -> A' + A*A_1 on the d/dz companion matrix over F_p.
 
-    Returns (A_p, is_nilpotent) with nilpotency tested as A_p^n = 0.
+    With A_1 = B_1/D from `companion`, A_k = B_k/D^k where
+    B_(k+1) = D*B_k' - k*D'*B_k + B_k*B_1: polynomial matrices, no gcd per
+    step.  Returns (A_p, is_nilpotent), nilpotency tested as B_p^n = 0.
     Delta-basis input is converted to d/dz first.
     """
     field = Lp.field
     if not isinstance(field, PrimeField):
         raise TypeError("p-curvature requires an operator over a prime field")
-    p = field.p
-    Ld = to_d(Lp)
-    n = Ld.order
-    A1 = companion_matrix(Ld)
-    A = [row[:] for row in A1]
-    for _ in range(p - 1):
-        A = mat_add([[a.derivative() for a in row] for row in A], mat_mul(A, A1))
-    power = A
-    for _ in range(n - 1):
-        power = mat_mul(power, A)
+    D, B1 = companion(to_d(Lp))
+    dD, B = D.derivative(), B1
+    for k in range(1, field.p):
+        kdD = dD.scale(k)
+        B = mat_add([[D * b.derivative() - kdD * b for b in row] for row in B], mat_mul(B, B1))
+    power = B
+    for _ in range(len(B) - 1):
+        power = mat_mul(power, B)
     nilpotent = all(entry.is_zero() for row in power for entry in row)
-    return A, nilpotent
+    Dp = D**field.p
+    return [[RatFun(b, Dp) for b in row] for row in B], nilpotent
 
 
 # -- good primes ------------------------------------------------------------------

@@ -76,7 +76,7 @@ class UnknownCase(LucascertError):
 
 
 class ParseError(LucascertError):
-    """Malformed operator/catalog JSON input."""
+    """Malformed input: operator or catalog JSON, or a CLI value."""
 
     def __init__(self, message, location=None):
         self.location = location

@@ -25,15 +25,6 @@ class TruncSeries:
         self.coeffs = tuple(field.coerce(c) for c in coeffs)
 
     @classmethod
-    def from_list(cls, field, coeffs, T=None):
-        cs = list(coeffs)
-        if T is not None:
-            if len(cs) < T:
-                raise ValueError(f"need {T} coefficients, got {len(cs)}")
-            cs = cs[:T]
-        return cls(field, cs)
-
-    @classmethod
     def zero(cls, field, T):
         return cls(field, [field.zero] * T)
 

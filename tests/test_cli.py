@@ -9,7 +9,7 @@ from lucascert import (
     series_mod_p,
     verify_certificate,
 )
-from lucascert.cli import main
+from lucascert.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -67,8 +67,14 @@ OPERATOR = {"basis": "d", "coeffs": [{"num": [-2]}, {"num": [1, -4]}]}
          "entry[0].initial"),
         ({"name": "x", "kind": "binom_power", "r": "two"}, "entry[0].r"),
         ({"name": "x", "kind": "operator"}, "entry[0]"),
+        ({"name": ["x"], "kind": "apery"}, "entry[0].name"),
+        ({"name": "x", "kind": "binom_power", "r": -1}, "entry[0].r"),
+        ({"name": "x", "kind": "f_r", "r": 0}, "entry[0].r"),
+        ({"name": "x", "kind": "binom_power", "r": 2.7}, "entry[0].r"),
+        ({"name": "x", "kind": "f_r", "r": True}, "entry[0].r"),
     ],
-    ids=["initial-abc", "r-two", "operator-missing"],
+    ids=["initial-abc", "r-two", "operator-missing", "name-list", "r-negative", "r-zero",
+         "r-float", "r-bool"],
 )
 def test_bad_catalog_entry_is_parse_error(tmp_path, capsys, entry, location):
     path = tmp_path / "cat.json"
@@ -89,6 +95,11 @@ def test_opinfo_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["opinfo", str(bad)]) == 1
+
+
+def test_directory_as_path_is_input_error(tmp_path, capsys):
+    assert main(["opinfo", str(tmp_path)]) == 1
+    assert main(["expand", "f2", "--T", "64", "--out", str(tmp_path)]) == 1
 
 
 def test_certify_f1(capsys):
@@ -149,3 +160,37 @@ def test_casebook_unknown_case(capsys):
 
 def test_nonprime_in_primes_flag(capsys):
     assert main(["casebook", "2f1", "--primes", "9"]) == 1
+
+
+def test_missing_p_is_usage_error(capsys):
+    assert main(["certify", "f2"]) == 1
+    assert "-p" in capsys.readouterr().err
+
+
+def test_unknown_format_is_usage_error(capsys):
+    assert main(["casebook", "2f1", "--format", "text"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["opinfo", "--help"]) == 0
+    assert "--bound" in capsys.readouterr().out
+
+
+def test_non_integer_prime_is_input_error(capsys):
+    assert main(["casebook", "2f1", "--primes", "abc"]) == 1
+    assert "(at --primes)" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {
+        name: sorted(o for a in sp._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, sp in sub.choices.items()
+    }
+    assert options == {
+        "expand": ["--T", "--catalog", "--format", "--out"],
+        "opinfo": ["--allow-two", "--bound", "--format", "--out", "--primes"],
+        "certify": ["--T", "--catalog", "--out", "-p"],
+        "casebook": ["--allow-two", "--format", "--out", "--primes"],
+    }

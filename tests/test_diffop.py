@@ -14,12 +14,14 @@ from lucascert import (
     Poly,
     RatFun,
     cleared,
+    companion,
     default_catalog,
     diffop_from_json,
     diffop_from_polys,
     diffop_to_json,
     expand,
     good_primes,
+    hypergeometric_fr_operator,
     indicial_at_zero,
     infinity_transform,
     is_mom,
@@ -31,6 +33,7 @@ from lucascert import (
     to_d,
     to_delta,
 )
+from lucascert.linalg import mat_add, mat_mul
 
 CAT = default_catalog()
 L_2F1 = CAT["f2"].operator  # z(1-16z) d^2 + (1-16z) d + 4
@@ -288,6 +291,51 @@ def test_p_curvature_nilpotent_on_catalog_good_primes():
         for p in good_primes(L, 13):
             _, nil = p_curvature(reduce_op_mod_p(L, p))
             assert nil, (name, p)
+
+
+def _monic_companion(L):
+    """Companion matrix of the monic normalization, built from monic_tail()."""
+    n, tail = L.order, L.monic_tail()
+    zero, one = RatFun.zero(L.field), RatFun.one(L.field)
+    rows = [[one if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
+    return rows + [[-tail[n - 1 - j] for j in range(n)]]
+
+
+def _p_curvature_oracle(Lp):
+    """The RatFun iteration A <- A' + A*A_1, each entry reduced by a gcd."""
+    A1 = _monic_companion(to_d(Lp))
+    A = A1
+    for _ in range(Lp.field.p - 1):
+        A = mat_add([[a.derivative() for a in row] for row in A], mat_mul(A, A1))
+    return A
+
+
+OPS = {name: CAT[name].operator for name in ("g1", "g2", "g3", "f2", "f3", "apery")}
+OPS.update({f"fr{r}": hypergeometric_fr_operator(r) for r in (2, 3, 4)})
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_p_curvature_matches_ratfun_oracle(name):
+    L = OPS[name]
+    for p in good_primes(L, 13):
+        Lp = reduce_op_mod_p(L, p)
+        A, nil = p_curvature(Lp)
+        assert nil, (name, p)
+        assert A == _p_curvature_oracle(Lp), (name, p)
+
+
+@pytest.mark.parametrize("basis", ["d", "delta"])
+@pytest.mark.parametrize("name", OPS)
+def test_companion_is_monic_companion(name, basis):
+    L = to_d(OPS[name]) if basis == "d" else to_delta(OPS[name])
+    den, M = companion(L)
+    assert [[RatFun(m, den) for m in row] for row in M] == _monic_companion(L)
+
+
+@pytest.mark.parametrize("name", ["g3", "apery"])
+def test_p_curvature_nilpotent_at_101(name):
+    _, nil = p_curvature(reduce_op_mod_p(CAT[name].operator, 101))
+    assert nil
 
 
 # -- good primes ------------------------------------------------------------------------
