@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .diffop import DiffOp, diffop_from_json, diffop_from_polys, expand, recurrence_from
+from .diffop import DiffOp, diffop_from_json, diffop_from_polys, expand, json_value, recurrence_from
 from .errors import ParseError, UnknownSeries
 from .fields import QQ, is_prime, reduce_rat_mod_p
 from .series import TruncSeries, reduce_series_mod_p
@@ -276,11 +276,7 @@ def catalog_to_json(catalog):
 
 def catalog_from_json(data):
     """Parse catalog JSON (a list of entries); raises ParseError on bad input."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", location=f"char {exc.pos}") from exc
+    data = json_value(data)
     if not isinstance(data, list):
         raise ParseError("catalog JSON must be an array of entries")
     catalog = {}

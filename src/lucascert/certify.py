@@ -370,7 +370,8 @@ def orbit_detect(f_p, p, max_steps=6, min_length=32):
                 c = a // b + 1
                 return OrbitReport(preperiod=a, period=b, level=c * b, verified_to=order)
     raise NoCycleFound(
-        f"no Cartier collision within {max_steps} steps at min length {min_length}"
+        f"no Cartier collision among iterates of lengths {[len(g) for g in iterates]} "
+        f"(min length {min_length}, at most {max_steps} steps)"
     )
 
 
@@ -521,9 +522,10 @@ def classify_evidence(certs):
 def frobenius_shadow(L, p, T, solution=None):
     """Uniform part and weak Frobenius matrix of a MOM operator, over Q.
 
-    Solves delta Y = G Y - Y G(0) coefficientwise (Y(0) = I) for the
-    delta-companion G, which works because G(0) is nilpotent so every
-    m >= 1 gives an invertible Sylvester step, then forms
+    Solves delta Y = G Y - Y G(0) (Y(0) = I) for the delta-companion G = M/den
+    by the coefficient recurrence of den delta Y = M Y - den Y G(0), in which
+    Y_m needs only the s previous terms (s the degree span of den and M); G(0)
+    is nilpotent, so every m >= 1 gives an invertible Sylvester step.  Then forms
 
         F = [delta(Lambda_p Y) + (1/p) Lambda_p(Y) G(0)] (Lambda_p Y)^(-1)
 
@@ -537,26 +539,29 @@ def frobenius_shadow(L, p, T, solution=None):
         raise TypeError("the Frobenius shadow is computed over Q")
     n = Ld.order
     den, M = companion(Ld)
-    # G as a list of Fraction matrices G_0..G_{T-1}
-    last_row = [ratfun_series(RatFun(m, den), T) for m in M[n - 1]]
-    G = [_zero_mat(n) for _ in range(T)]
-    for k in range(T):
-        for i in range(n - 1):
-            G[k][i][i + 1] = Fraction(1) if k == 0 else Fraction(0)
-        for j in range(n):
-            G[k][n - 1][j] = last_row[j][k]
-    G0 = G[0]
-    if any(G0[n - 1][j] != 0 for j in range(n)):
+    # G = M/den: G(0) is ones on the superdiagonal over one series term of the
+    # last row (a pole at 0 raises NotSeriesExpandable here)
+    G0 = [[Fraction(int(j == i + 1)) for j in range(n)] for i in range(n - 1)]
+    G0.append([ratfun_series(RatFun(m, den), 1)[0] for m in M[n - 1]])
+    if any(G0[n - 1]):
         raise SylvesterSingular("operator is not MOM at zero: G(0) has a nonzero last row")
 
-    # uniform part: m Y_m - G0 Y_m + Y_m G0 = sum_{k>=1} G_k Y_{m-k}
+    # uniform part from den dY = M Y - den Y G0, the common power of z divided
+    # out so that M_0 = den_0 G0; the coefficient of z^m is
+    # den_0 (m - ad_G0) Y_m = sum_{i=1..s} M_i Y_{m-i} - den_i ((m-i) Y_{m-i} + Y_{m-i} G0)
+    v = min(P.valuation() for P in (den, *M[n - 1]) if P)
+    s = max(P.degree() for P in (den, *M[n - 1])) - v
+    Ms = [[[P[i + v] for P in row] for row in M] for i in range(s + 1)]
     Y = [_eye(n)]
     for m in range(1, T):
         rhs = _zero_mat(n)
-        for k in range(1, m + 1):
-            if any(any(v != 0 for v in row) for row in G[k]):
-                rhs = mat_add(rhs, mat_mul(G[k], Y[m - k]))
-        Y.append(_sylvester_solve(rhs, G0, m, n))
+        for i in range(1, min(m, s) + 1):
+            Yk, d = Y[m - i], den[i + v]
+            rhs = mat_add(rhs, mat_mul(Ms[i], Yk))
+            if d:
+                YG = mat_mul(Yk, G0)
+                rhs = [[r - d * ((m - i) * y + g) for r, y, g in zip(*rows)] for rows in zip(rhs, Yk, YG)]
+        Y.append(_sylvester_solve([[r / den[v] for r in row] for row in rhs], G0, m, n))
 
     Tp = (T + p - 1) // p
     LY = [[TruncSeries(QQ, [Y[m][i][j] for m in range(T)]).cartier(p, 0).truncate(Tp)

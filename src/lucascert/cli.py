@@ -46,6 +46,7 @@ EXIT_BOUND = 3
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13)
 MIN_T = 64
+MAX_BOUND = 10**7  # good-prime budget: a 10 MB sieve and 664579 primes
 
 
 def _parse_primes(text, allow_two):
@@ -91,6 +92,8 @@ def cmd_expand(args):
 
 
 def cmd_opinfo(args):
+    if args.bound > MAX_BOUND:
+        raise ParseError(f"good-prime bound {args.bound} exceeds the limit {MAX_BOUND}", location="--bound")
     with open(args.operator, "r", encoding="utf-8") as fh:
         L = diffop_from_json(fh.read())
     report = singularities(L)
@@ -203,7 +206,7 @@ def build_parser():
 
     sp = sub.add_parser("opinfo", help="analyze an operator JSON file")
     sp.add_argument("operator", help="path to operator JSON")
-    sp.add_argument("--bound", type=int, default=20, help="good-prime search bound")
+    sp.add_argument("--bound", type=int, default=20, help=f"good-prime search bound (<= {MAX_BOUND})")
     prime_options(sp)
     output_options(sp, ("text", "json"))
     sp.set_defaults(fn=cmd_opinfo)

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd as int_gcd, lcm
 
 from .errors import BadPrime, LeadingZero, NotMomAtZero, NotSeriesExpandable, ParseError
-from .fields import QQ, PrimeField, is_prime
+from .fields import QQ, PrimeField, is_prime, primes_upto
 from .linalg import mat_add, mat_mul
 from .poly import Poly
 from .ratfun import RatFun
@@ -500,7 +500,7 @@ def good_primes(L, bound):
 
     # only primes up to bound matter, so test them by division; 0 marks nothing
     bad = [v for v in bad if v]
-    return [p for p in range(2, bound + 1) if is_prime(p) and all(v % p for v in bad)]
+    return [p for p in primes_upto(bound) if all(v % p for v in bad)]
 
 
 # -- recurrence extraction ----------------------------------------------------------
@@ -598,13 +598,21 @@ def _int_poly_pair(c):
     )
 
 
+def json_value(data):
+    """`data`, parsed first when it is JSON text; bad text is a ParseError."""
+    if not isinstance(data, str):
+        return data
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", location=f"char {exc.pos}") from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+
+
 def diffop_from_json(data, field=QQ):
     """Parse the operator JSON schema; raises ParseError with a location."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", location=f"char {exc.pos}") from exc
+    data = json_value(data)
     if not isinstance(data, dict):
         raise ParseError("operator JSON must be an object")
     basis = data.get("basis")

@@ -8,6 +8,8 @@ All values are immutable; field objects are stateless and hashable.
 """
 
 from fractions import Fraction
+from itertools import compress
+from math import isqrt
 
 from .errors import NotPLocal
 
@@ -36,6 +38,18 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+def primes_upto(bound):
+    """The primes <= bound, by a bytearray sieve of Eratosthenes."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, bound + 1, q)))
+    return list(compress(range(bound + 1), sieve))
 
 
 class RationalField:

@@ -7,28 +7,36 @@ from lucascert import (
     QQ,
     BadPrime,
     NoCycleFound,
+    NotSeriesExpandable,
     Poly,
     RatFun,
     ReconstructionFailed,
+    SylvesterSingular,
     TruncSeries,
     assemble_certificate,
     cartier_row_residual,
     certificate_from_json,
     certificate_prop62,
     classify_evidence,
+    companion,
     default_catalog,
+    diffop_from_polys,
     frobenius_shadow,
     gen_terms,
     iterate_certificates,
     orbit_detect,
     q_series,
+    ratfun_series,
     reduce_series_mod_p,
     series_mod_p,
     series_over_q,
     split_elimination,
     split_pade,
+    to_delta,
     verify_certificate,
 )
+from lucascert.certify import _sylvester_solve
+from lucascert.linalg import mat_add, mat_mul
 
 CAT = default_catalog()
 
@@ -236,6 +244,12 @@ def test_orbit_no_cycle_reports():
         orbit_detect(f, 3, max_steps=4)
 
 
+def test_no_cycle_names_iterate_lengths_and_min_length():
+    # 64 terms at p = 3: the next iterate (22 terms) is below min length 32
+    with pytest.raises(NoCycleFound, match=r"lengths \[64\] \(min length 32, at most 6 steps\)"):
+        assemble_certificate(CAT["g1"], 3, T=64)
+
+
 # -- assembly --------------------------------------------------------------------------------
 
 
@@ -414,3 +428,69 @@ def test_shadow_y_constant_term_identity():
         for j in range(n):
             expected = Fraction(1 if i == j else 0)
             assert sh.Y[i][j][0] == expected
+
+
+def _y_oracle(L, T):
+    """Y by the O(T^2) route: convolve the whole series G = M/den with every earlier Y_m."""
+    Ld = to_delta(L)
+    n = Ld.order
+    den, M = companion(Ld)
+    row = [ratfun_series(RatFun(m, den), T) for m in M[n - 1]]
+    G = [[[Fraction(int(k == 0 and j == i + 1)) for j in range(n)] for i in range(n - 1)]
+         + [[row[j][k] for j in range(n)]] for k in range(T)]
+    Y = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
+    for m in range(1, T):
+        rhs = [[Fraction(0)] * n for _ in range(n)]
+        for k in range(1, m + 1):
+            rhs = mat_add(rhs, mat_mul(G[k], Y[m - k]))
+        Y.append(_sylvester_solve(rhs, G[0], m, n))
+    return Y, G[0]
+
+
+def _assert_shadow_matches_oracle(L, p, T):
+    sh = frobenius_shadow(L, p, T)
+    Y, G0 = _y_oracle(L, T)
+    n = len(Y[0])
+    assert [[list(sh.Y[i][j].coeffs) for j in range(n)] for i in range(n)] == [
+        [[Y[m][i][j] for m in range(T)] for j in range(n)] for i in range(n)
+    ]
+    # F (Lambda_p Y) = delta(Lambda_p Y) + (1/p) Lambda_p(Y) G(0) to the length of F
+    Tp = len(sh.F[0][0])
+    LY = [[TruncSeries(QQ, [Y[m][i][j] for m in range(T)]).cartier(p, 0).truncate(Tp)
+           for j in range(n)] for i in range(n)]
+    G0p = [[TruncSeries(QQ, [v / p] + [0] * (Tp - 1)) for v in row] for row in G0]
+    lhs = mat_mul([list(row) for row in sh.F], LY)
+    rhs = mat_add([[s.delta() for s in row] for row in LY], mat_mul(LY, G0p))
+    for i in range(n):
+        for j in range(n):
+            assert lhs[i][j].eq_to_order(rhs[i][j], Tp), (i, j)
+
+
+@pytest.mark.parametrize(
+    "name,p,T",
+    [("f2", 3, 120), ("f2", 5, 120), ("g2", 3, 120), ("g3", 5, 100), ("f3", 7, 98),
+     ("apery", 3, 60), ("apery", 5, 100)],
+)
+def test_shadow_recurrence_matches_convolution_oracle(name, p, T):
+    _assert_shadow_matches_oracle(CAT[name].operator, p, T)
+
+
+def test_shadow_common_power_of_z_divided_out():
+    # z(1 - z) delta^2 + z^2 delta + z^2: den(0) = 0 until z is divided out
+    L = diffop_from_polys(QQ, "delta", [[0, 0, 1], [0, 0, 1], [0, 1, -1]])
+    _assert_shadow_matches_oracle(L, 3, 60)
+    y00 = frobenius_shadow(L, 3, 8).Y[0][0]
+    assert [y00[m] for m in range(4)] == [1, -1, Fraction(1, 4), Fraction(1, 36)]
+
+
+def test_shadow_leading_constant_not_one():
+    # g3's operator with leading polynomial 3(1 - 64z): den(0) = 3
+    L = diffop_from_polys(QQ, "delta", [[0, -8], [0, -48], [0, -96], [3, -192]])
+    _assert_shadow_matches_oracle(L, 5, 80)
+
+
+def test_shadow_errors():
+    with pytest.raises(SylvesterSingular, match="not MOM"):
+        frobenius_shadow(diffop_from_polys(QQ, "delta", [[-1], [0], [1]]), 3, 30)
+    with pytest.raises(NotSeriesExpandable, match="pole at 0"):
+        frobenius_shadow(diffop_from_polys(QQ, "delta", [[1], [1], [0, 1]]), 3, 30)

@@ -194,3 +194,9 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "certify": ["--T", "--catalog", "--out", "-p"],
         "casebook": ["--allow-two", "--format", "--out", "--primes"],
     }
+
+
+def test_opinfo_bound_over_budget_is_input_error(f2_op_path, capsys):
+    assert main(["opinfo", f2_op_path, "--bound", "100000000"]) == 1
+    err = capsys.readouterr().err
+    assert "limit 10000000" in err and "(at --bound)" in err

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lucascert import GF, QQ, NotPLocal, is_prime, reduce_rat_mod_p
+from lucascert.fields import primes_upto
 
 
 def brute_force_inverse_solve(num, den, p):
@@ -79,3 +80,10 @@ def test_prime_field_is_cached():
 def test_is_prime_small():
     primes = [p for p in range(2, 60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_primes_upto_matches_is_prime_walk():
+    walk = [p for p in range(2, 10**4 + 1) if is_prime(p)]
+    assert primes_upto(10**4) == walk
+    for bound in range(-1, 200):
+        assert primes_upto(bound) == [p for p in walk if p <= bound], bound
