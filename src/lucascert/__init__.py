@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fields import GF, QQ, PrimeField, RationalField, is_prime, reduce_rat_mod_p
 from .poly import Poly, format_poly
-from .ratfun import RatFun, ratfun_new
+from .ratfun import RatFun
 from .series import (
     TruncSeries,
     q_series,

@@ -20,15 +20,18 @@ operator of order n with at most r finite singular points:
 
 All series identities are certified to an explicit truncation order by an
 independent multiply-and-compare pass; the rational functions themselves are
-exact finite objects.  A companion construction computes the uniform part
-Y of the delta-companion system and the weak Frobenius matrix
-F = [delta(Lambda_p Y) + (1/p) Lambda_p(Y) G(0)] (Lambda_p Y)^(-1)
-entirely over Q, whose last row annihilates the Cartier image of the
-solution vector.
+exact finite objects.  A companion construction computes, entirely over Q,
+the uniform part Y of the delta-companion system, whose G(0) is the shift J
+for a MOM operator, and the weak Frobenius matrix
+F = [delta(Lambda_p Y) + (1/p) Lambda_p(Y) J] (Lambda_p Y)^(-1) by the
+coefficient recurrence of F Lambda_p(Y) = delta(Lambda_p Y) + (1/p) Lambda_p(Y) J,
+with no series inverse.  The last row of F annihilates the Cartier image of
+the solution vector.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .catalog import series_mod_p
 from .diffop import companion, good_primes, is_mom, recurrence_from, singularities, to_delta
@@ -522,80 +525,64 @@ def classify_evidence(certs):
 def frobenius_shadow(L, p, T, solution=None):
     """Uniform part and weak Frobenius matrix of a MOM operator, over Q.
 
-    Solves delta Y = G Y - Y G(0) (Y(0) = I) for the delta-companion G = M/den
-    by the coefficient recurrence of den delta Y = M Y - den Y G(0), in which
-    Y_m needs only the s previous terms (s the degree span of den and M); G(0)
-    is nilpotent, so every m >= 1 gives an invertible Sylvester step.  Then forms
+    The delta-companion G = M/den is the shift J (ones on the superdiagonal)
+    plus a last row, which a MOM-at-zero operator has zero at 0: G(0) = J.
+    Y (Y(0) = I) solves delta Y = G Y - Y J by the coefficient recurrence of
+    den delta Y = M Y - den Y J, in which Y_m needs only the s previous terms
+    (s the degree span of den and M) and the triangular Sylvester step
+    (m - ad_J) Y_m = R, solved entry by entry from the last row up.  With
+    LY = Lambda_p Y (LY(0) = I), the weak Frobenius matrix
 
-        F = [delta(Lambda_p Y) + (1/p) Lambda_p(Y) G(0)] (Lambda_p Y)^(-1)
+        F = [delta(LY) + (1/p) LY J] LY^(-1)
 
-    on truncations.  Checks p F(0) = G(0) exactly.  When the distinguished
-    series solution f (f(0) = 1) is supplied, the construction additionally
-    verifies that the last row of F annihilates
+    needs no inverse: F LY = delta(LY) + (1/p) LY J gives, coefficientwise,
+
+        F_m = m LY_m + (1/p) LY_m J - sum_{k<m} F_k LY_{m-k}.
+
+    Checks p F(0) = G(0) exactly.  When the distinguished series solution f
+    (f(0) = 1) is supplied, the construction additionally verifies that the
+    last row of F annihilates
     (Lambda_p f, Lambda_p delta f, ..., delta(Lambda_p delta^(n-1) f)).
     """
+    if T < 1:
+        raise ValueError("T must be >= 1")
     Ld = to_delta(L)
     if Ld.field != QQ:
         raise TypeError("the Frobenius shadow is computed over Q")
     n = Ld.order
     den, M = companion(Ld)
-    # G = M/den: G(0) is ones on the superdiagonal over one series term of the
-    # last row (a pole at 0 raises NotSeriesExpandable here)
-    G0 = [[Fraction(int(j == i + 1)) for j in range(n)] for i in range(n - 1)]
-    G0.append([ratfun_series(RatFun(m, den), 1)[0] for m in M[n - 1]])
-    if any(G0[n - 1]):
+    # G(0)'s last row from one series term (a pole at 0 raises NotSeriesExpandable here)
+    if any(ratfun_series(RatFun(m, den), 1)[0] for m in M[n - 1]):
         raise SylvesterSingular("operator is not MOM at zero: G(0) has a nonzero last row")
 
-    # uniform part from den dY = M Y - den Y G0, the common power of z divided
-    # out so that M_0 = den_0 G0; the coefficient of z^m is
-    # den_0 (m - ad_G0) Y_m = sum_{i=1..s} M_i Y_{m-i} - den_i ((m-i) Y_{m-i} + Y_{m-i} G0)
+    # M = den J + e_n last (its last row); with the common power of z divided out, the
+    # coefficient of z^m in den delta Y = M Y - den Y J is
+    # den_0 (m - ad_J) Y_m = sum_{i=1..s} e_n last_i Y_{m-i} - den_i (m - i - ad_J) Y_{m-i}
     v = min(P.valuation() for P in (den, *M[n - 1]) if P)
     s = max(P.degree() for P in (den, *M[n - 1])) - v
-    Ms = [[[P[i + v] for P in row] for row in M] for i in range(s + 1)]
-    Y = [_eye(n)]
+    last = [[[P[i + v] for P in M[n - 1]]] for i in range(s + 1)]
+    Y = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
     for m in range(1, T):
-        rhs = _zero_mat(n)
+        R = [[Fraction(0)] * n for _ in range(n)]
         for i in range(1, min(m, s) + 1):
             Yk, d = Y[m - i], den[i + v]
-            rhs = mat_add(rhs, mat_mul(Ms[i], Yk))
             if d:
-                YG = mat_mul(Yk, G0)
-                rhs = [[r - d * ((m - i) * y + g) for r, y, g in zip(*rows)] for rows in zip(rhs, Yk, YG)]
-        Y.append(_sylvester_solve([[r / den[v] for r in row] for row in rhs], G0, m, n))
+                R = [[r - d * a for r, a in zip(*rs)] for rs in zip(R, _ad_shift(Yk, m - i))]
+            R[-1] = mat_add(R[-1:], mat_mul(last[i], Yk))[0]
+        Y.append(_ad_shift_solve([[r / den[v] for r in row] for row in R], m))
 
-    Tp = (T + p - 1) // p
-    LY = [[TruncSeries(QQ, [Y[m][i][j] for m in range(T)]).cartier(p, 0).truncate(Tp)
-           for j in range(n)] for i in range(n)]
-    LY_inv = _mat_series_inverse(LY, Tp)
-    dLY = [[LY[i][j].delta() for j in range(n)] for i in range(n)]
-    scaled = [
-        [
-            TruncSeries(
-                QQ,
-                [
-                    sum(LY[i][k][m] * G0[k][j] for k in range(n)) / p
-                    for m in range(Tp)
-                ],
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    numer = [[dLY[i][j] + scaled[i][j] for j in range(n)] for i in range(n)]
-    F = mat_mul(numer, LY_inv)
+    LY = Y[::p]
+    F = []
+    for m, LYm in enumerate(LY):
+        Fm = [[m * y + (row[j - 1] / p if j else 0) for j, y in enumerate(row)] for row in LYm]
+        if m:
+            S = reduce(mat_add, (mat_mul(F[k], LY[m - k]) for k in range(m)))
+            Fm = [[a - b for a, b in zip(*rs)] for rs in zip(Fm, S)]
+        F.append(Fm)
+    if any(p * F[0][i][j] != int(j == i + 1) for i in range(n) for j in range(n)):
+        raise SylvesterSingular("p F(0) != G(0); shadow construction failed")
 
-    F0 = [[F[i][j][0] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if p * F0[i][j] != G0[i][j]:
-                raise SylvesterSingular("p F(0) != G(0); shadow construction failed")
-
-    shadow = FrobShadow(
-        F=tuple(tuple(row) for row in F),
-        Y=tuple(tuple(TruncSeries(QQ, [Y[m][i][j] for m in range(T)]) for j in range(n)) for i in range(n)),
-        p=p,
-        T=T,
-    )
+    shadow = FrobShadow(F=_series_matrix(F), Y=_series_matrix(Y), p=p, T=T)
     if solution is not None:
         residual = cartier_row_residual(shadow, solution)
         if not residual.is_zero():
@@ -631,42 +618,25 @@ def cartier_row_residual(shadow, f, order=None):
     return acc
 
 
-def _zero_mat(n):
-    return [[Fraction(0) for _ in range(n)] for _ in range(n)]
+def _ad_shift(Y, c):
+    """(c - ad_J) Y = c Y - J Y + Y J: J Y moves the rows of Y up, Y J its columns right."""
+    below = (*Y[1:], [0] * len(Y))
+    return [[c * y - b + l for y, b, l in zip(row, brow, (0, *row[:-1]))] for row, brow in zip(Y, below)]
 
 
-def _eye(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+def _ad_shift_solve(R, m):
+    """Y with (m - ad_J) Y = R, i.e. m Y[i][j] - Y[i+1][j] + Y[i][j-1] = R[i][j], last row first."""
+    Y, below = [], [0] * len(R)
+    for Ri in reversed(R):
+        row = [0]
+        for r, b in zip(Ri, below):
+            row.append((r + b - row[-1]) / m)
+        below = row[1:]
+        Y.append(below)
+    return Y[::-1]
 
 
-def _sylvester_solve(rhs, G0, m, n):
-    """Solve (m - ad_{G0}) Y = rhs by the finite Neumann series of the nilpotent ad."""
-    term = rhs
-    acc = _zero_mat(n)
-    power = 1
-    for _ in range(2 * n + 1):
-        if all(all(v == 0 for v in row) for row in term):
-            break
-        power_m = Fraction(1, m**power)
-        acc = mat_add(acc, [[v * power_m for v in row] for row in term])
-        term = mat_add(mat_mul(G0, term), [[-v for v in row] for row in mat_mul(term, G0)])
-        power += 1
-    else:
-        raise SylvesterSingular("adjoint of G(0) is not nilpotent")
-    return acc
-
-
-def _mat_series_inverse(M, T):
-    """Inverse of a series matrix with M(0) = I, coefficientwise."""
-    n = len(M)
-    Mk = [[[M[i][j][m] for j in range(n)] for i in range(n)] for m in range(T)]
-    inv = [_eye(n)]
-    for m in range(1, T):
-        acc = _zero_mat(n)
-        for k in range(1, m + 1):
-            acc = mat_add(acc, mat_mul(inv[m - k], Mk[k]))
-        inv.append([[-v for v in row] for row in acc])
-    return [
-        [TruncSeries(QQ, [inv[m][i][j] for m in range(T)]) for j in range(n)]
-        for i in range(n)
-    ]
+def _series_matrix(coeffs):
+    """The n x n matrix of TruncSeries whose coefficient of z^m is coeffs[m]."""
+    n = len(coeffs[0])
+    return tuple(tuple(TruncSeries(QQ, [c[i][j] for c in coeffs]) for j in range(n)) for i in range(n))

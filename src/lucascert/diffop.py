@@ -25,7 +25,7 @@ from math import gcd as int_gcd, lcm
 from .errors import BadPrime, LeadingZero, NotMomAtZero, NotSeriesExpandable, ParseError
 from .fields import QQ, PrimeField, is_prime, primes_upto
 from .linalg import mat_add, mat_mul
-from .poly import Poly
+from .poly import Poly, format_poly
 from .ratfun import RatFun
 from .series import TruncSeries
 
@@ -539,7 +539,7 @@ def recurrence_from(L):
         Q.append(Poly(field, [polys[n - i][j] for i in range(n + 1)]))
     expected = Poly.x(field) ** n
     if Q[0].is_zero() or Q[0].monic() != expected:
-        raise NotMomAtZero(f"Q_0 = {Q[0]} is not proportional to x^{n}")
+        raise NotMomAtZero(f"Q_0 = {format_poly(Q[0], var='x')} is not proportional to x^{n}")
     lead = Q[0].leading()
     inv = field.inv(lead)
     Q = [q.scale(inv) for q in Q]

@@ -64,7 +64,7 @@ class NoCycleFound(LucascertError):
 
 
 class SylvesterSingular(LucascertError):
-    """Coefficientwise Sylvester solve hit a non-invertible step."""
+    """Frobenius shadow failed: G(0) is not the shift (not MOM), p F(0) != G(0), or the last row fails."""
 
 
 class UnknownSeries(LucascertError):

@@ -150,8 +150,3 @@ class RatFun:
         if self.is_polynomial():
             return f"RatFun({self.num})"
         return f"RatFun(({self.num}) / ({self.den}))"
-
-
-def ratfun_new(num, den):
-    """Build the reduced rational function num/den (monic den, height set)."""
-    return RatFun(num, den)

@@ -23,6 +23,7 @@ from lucascert import (
     diffop_from_polys,
     frobenius_shadow,
     gen_terms,
+    hypergeometric_fr_operator,
     iterate_certificates,
     orbit_detect,
     q_series,
@@ -35,7 +36,6 @@ from lucascert import (
     to_delta,
     verify_certificate,
 )
-from lucascert.certify import _sylvester_solve
 from lucascert.linalg import mat_add, mat_mul
 
 CAT = default_catalog()
@@ -430,6 +430,15 @@ def test_shadow_y_constant_term_identity():
             assert sh.Y[i][j][0] == expected
 
 
+def _neumann_solve(rhs, G0, m):
+    """Solve (m - ad_G0) Y = rhs by the finite Neumann series sum_k ad_G0^k rhs / m^(k+1)."""
+    acc, term = rhs, rhs
+    for k in range(1, 2 * len(G0)):  # ad_G0^(2n-1) = 0 for nilpotent G0
+        term = mat_add(mat_mul(G0, term), [[-v for v in row] for row in mat_mul(term, G0)])
+        acc = mat_add(acc, [[v / m**k for v in row] for row in term])
+    return [[v / m for v in row] for row in acc]
+
+
 def _y_oracle(L, T):
     """Y by the O(T^2) route: convolve the whole series G = M/den with every earlier Y_m."""
     Ld = to_delta(L)
@@ -443,7 +452,7 @@ def _y_oracle(L, T):
         rhs = [[Fraction(0)] * n for _ in range(n)]
         for k in range(1, m + 1):
             rhs = mat_add(rhs, mat_mul(G[k], Y[m - k]))
-        Y.append(_sylvester_solve(rhs, G[0], m, n))
+        Y.append(_neumann_solve(rhs, G[0], m))
     return Y, G[0]
 
 
@@ -469,10 +478,11 @@ def _assert_shadow_matches_oracle(L, p, T):
 @pytest.mark.parametrize(
     "name,p,T",
     [("f2", 3, 120), ("f2", 5, 120), ("g2", 3, 120), ("g3", 5, 100), ("f3", 7, 98),
-     ("apery", 3, 60), ("apery", 5, 100)],
+     ("apery", 3, 60), ("apery", 5, 100), ("fr4", 5, 60)],
 )
 def test_shadow_recurrence_matches_convolution_oracle(name, p, T):
-    _assert_shadow_matches_oracle(CAT[name].operator, p, T)
+    L = hypergeometric_fr_operator(4) if name == "fr4" else CAT[name].operator
+    _assert_shadow_matches_oracle(L, p, T)
 
 
 def test_shadow_common_power_of_z_divided_out():
@@ -494,3 +504,6 @@ def test_shadow_errors():
         frobenius_shadow(diffop_from_polys(QQ, "delta", [[-1], [0], [1]]), 3, 30)
     with pytest.raises(NotSeriesExpandable, match="pole at 0"):
         frobenius_shadow(diffop_from_polys(QQ, "delta", [[1], [1], [0, 1]]), 3, 30)
+    for T in (0, -1):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            frobenius_shadow(CAT["f2"].operator, 3, T)

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from fractions import Fraction
 from math import comb
@@ -20,6 +21,7 @@ from lucascert import (
     diffop_from_polys,
     diffop_to_json,
     expand,
+    exponents_at_zero,
     good_primes,
     hypergeometric_fr_operator,
     indicial_at_zero,
@@ -159,6 +161,18 @@ def test_indicial_raises_on_pole_at_zero():
     with pytest.raises(NotSeriesExpandable):
         indicial_at_zero(L)
     assert not is_mom(L)
+
+
+@pytest.mark.parametrize(
+    "L,exponents",
+    [
+        (diffop_from_polys(QQ, "delta", [[-1], [0], [4]]), [Fraction(1, 2), Fraction(-1, 2)]),
+        (L_APERY, [0, 0, 0]),
+        (diffop_from_polys(QQ, "delta", [[-2], [0], [1]]), []),  # roots +-sqrt(2) are not in Q
+    ],
+)
+def test_exponents_at_zero(L, exponents):
+    assert exponents_at_zero(L) == exponents
 
 
 def test_is_mom():
@@ -435,6 +449,9 @@ def test_recurrence_not_mom():
     L = diffop_from_polys(QQ, "delta", [[-1], [1]])  # delta - 1
     with pytest.raises(NotMomAtZero):
         recurrence_from(L)
+    # the message names Q_0 in the recurrence variable x, not the series variable z
+    with pytest.raises(NotMomAtZero, match=re.escape("Q_0 = 1 + x is not proportional to x^1")):
+        recurrence_from(diffop_from_polys(QQ, "delta", [[1], [1]]))  # delta + 1
 
 
 def test_expand_leading_zero():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lucascert import GF, QQ, Poly, RatFun, ZeroDenominator, ratfun_new
+from lucascert import GF, QQ, Poly, RatFun, ZeroDenominator
 
 
 def to_poly(field, ints):
@@ -11,16 +11,16 @@ def to_poly(field, ints):
 
 
 def test_common_factor_reduction():
-    a = ratfun_new(to_poly(QQ, [0, 0, 1]), to_poly(QQ, [0, 1]))  # z^2 / z
+    a = RatFun(to_poly(QQ, [0, 0, 1]), to_poly(QQ, [0, 1]))  # z^2 / z
     assert a.num == to_poly(QQ, [0, 1])
     assert a.den == Poly.one(QQ)
     assert a.height == 1
 
 
 def test_constant_height_zero():
-    a = ratfun_new(Poly.one(QQ), Poly.one(QQ))
+    a = RatFun(Poly.one(QQ), Poly.one(QQ))
     assert a.height == 0
-    assert ratfun_new(Poly.zero(QQ), to_poly(QQ, [3, 1])).height == 0
+    assert RatFun(Poly.zero(QQ), to_poly(QQ, [3, 1])).height == 0
 
 
 def test_cube_over_square_mod_3():
@@ -29,14 +29,14 @@ def test_cube_over_square_mod_3():
     num = to_poly(F3, [1, 1]) ** 3
     den = to_poly(F3, [1, 2]) ** 2
     assert to_poly(F3, [1, 1]).gcd(to_poly(F3, [1, 2])) == Poly.one(F3)
-    a = ratfun_new(num, den)
+    a = RatFun(num, den)
     assert a.height == 3
     assert a.den.leading() == 1  # monic denominator
 
 
 def test_zero_denominator():
     with pytest.raises(ZeroDenominator):
-        ratfun_new(Poly.one(QQ), Poly.zero(QQ))
+        RatFun(Poly.one(QQ), Poly.zero(QQ))
 
 
 def rand_ratfun(rng, field, max_deg=5):
