@@ -3,7 +3,8 @@
 Each case returns a CaseResult whose checks are (label, passed, detail)
 triples; congruences are always evaluated by two independent routes
 (exact big-integer sums reduced mod p, and digit-wise Lucas-theorem
-evaluation) that must agree.
+evaluation) that must agree.  Series mod p come from the Q expansion, never
+from the Lucas-digit route of `series_mod_p` whose congruences are checked.
 """
 
 import csv
@@ -11,13 +12,14 @@ import io
 from dataclasses import dataclass, field as dc_field
 
 from .catalog import (
+    cy26_mod,
     cy26_term,
+    cy210_mod,
     cy210_term,
     gen_terms,
-    lucas_binom,
     lookup,
     p_lucas_check,
-    series_mod_p,
+    series_over_q,
     hypergeometric_fr_operator,
 )
 from .diffop import is_mom, indicial_at_zero
@@ -59,6 +61,12 @@ class CaseResult:
         }
 
 
+def _excluded(result, why):
+    result.excluded = True
+    result.note = f"p = {result.p} excluded: {why}"
+    return result
+
+
 def _fixed_point_congruence(result, term, p, Jmax, series_mod_term):
     """Check a(jp) = a(j) mod p by exact sums and by the Lucas-digit route."""
     for j in range(0, Jmax + 1):
@@ -78,26 +86,6 @@ def _fixed_point_congruence(result, term, p, Jmax, series_mod_term):
     result.orders["Jmax"] = Jmax
 
 
-def _cy210_mod(n, p):
-    s = 0
-    for k in range(2 * n + 1):
-        t = pow(lucas_binom(2 * n, k, p), 4, p)
-        s = (s - t if k & 1 else s + t) % p
-    return lucas_binom(2 * n, n, p) * s % p
-
-
-def _cy26_mod(n, p):
-    s = 0
-    for k in range(n + 1):
-        s = (
-            s
-            + pow(lucas_binom(n, k, p), 2, p)
-            * lucas_binom(n + k, k, p)
-            * lucas_binom(2 * k, n, p)
-        ) % p
-    return lucas_binom(2 * n, n, p) * s % p
-
-
 def case_210(p, Jmax=20):
     """Cartier fixed point of the sequence C(2j,j) sum_k (-1)^k C(2j,k)^4 mod p.
 
@@ -106,17 +94,15 @@ def case_210(p, Jmax=20):
     """
     result = CaseResult("210", p)
     if p == 2:
-        result.excluded = True
-        result.note = "p = 2 excluded: the (-1)^k parity argument needs an odd prime"
-        return result
-    _fixed_point_congruence(result, cy210_term, p, Jmax, _cy210_mod)
+        return _excluded(result, "the (-1)^k parity argument needs an odd prime")
+    _fixed_point_congruence(result, cy210_term, p, Jmax, cy210_mod)
     return result
 
 
 def case_26(p, Jmax=15):
     """Cartier fixed point of C(2j,j) sum_k C(j,k)^2 C(j+k,k) C(2k,j) mod p."""
     result = CaseResult("26", p)
-    _fixed_point_congruence(result, cy26_term, p, Jmax, _cy26_mod)
+    _fixed_point_congruence(result, cy26_term, p, Jmax, cy26_mod)
     return result
 
 
@@ -131,8 +117,7 @@ def case_apery_lucas(p, M=500):
 
 def truncation_poly(g, p):
     """The p-truncation of a catalog series mod p, as a polynomial over F_p."""
-    f = series_mod_p(g, p, p)
-    return f.poly()
+    return reduce_series_mod_p(series_over_q(g, p), p).poly()
 
 
 def case_2f1(p, kmax=2, T=500, power_cap=400):
@@ -152,9 +137,9 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
                   equals (p/2)(p^(k+1)-1), and f_2|p = B_k * f_2|p(z^(p^(k+1)))
                   (k limited so p^(k+1) <= power_cap)
     """
-    if p < 3:
-        raise ValueError("case 2f1 needs an odd prime")
     result = CaseResult("2f1", p)
+    if p < 3:
+        return _excluded(result, "the truncations have degree (p-1)/2, for an odd prime")
     result.orders["T"] = T
     Fp = GF(p)
     f1_gen, f2_gen = lookup("f1"), lookup("f2")
@@ -225,16 +210,16 @@ def case_independence(p, T=300):
     point mod p, and f_2|p = B * g_2|p with B = P_2/P_1 recovered by rational
     reconstruction of bounded height.
     """
-    if p < 3:
-        raise ValueError("independence ingredients need an odd prime")
     result = CaseResult("independence", p)
+    if p < 3:
+        return _excluded(result, "the independence ingredients need an odd prime")
     result.orders["T"] = T
     Fp = GF(p)
     for r in (2, 3):
         fr = lookup(f"f{r}")
         gr = lookup(f"g{r}")
-        fr_p = series_mod_p(fr, p, T)
-        gr_p = series_mod_p(gr, p, T)
+        fr_p = reduce_series_mod_p(series_over_q(fr, T), p)
+        gr_p = reduce_series_mod_p(series_over_q(gr, T), p)
         lam1 = fr_p.cartier(p, 0)
         lam2 = fr_p.cartier(p, 0).cartier(p, 0)
         ok1 = lam1.eq_to_order(gr_p, len(lam1))
@@ -247,12 +232,12 @@ def case_independence(p, T=300):
             f"L_{r} MOM",
             is_mom(Lr) and indicial_at_zero(Lr) == Poly.x(QQ) ** r,
         )
-    t_p = series_mod_p(lookup("apery"), p, T)
+    t_p = reduce_series_mod_p(series_over_q(lookup("apery"), T), p)
     lam_t = t_p.cartier(p, 0)
     result.add("Lambda(t) = t mod p", lam_t.eq_to_order(t_p, len(lam_t)))
 
-    f2_p = series_mod_p(lookup("f2"), p, T)
-    g2_p = series_mod_p(lookup("g2"), p, T)
+    f2_p = reduce_series_mod_p(series_over_q(lookup("f2"), T), p)
+    g2_p = reduce_series_mod_p(series_over_q(lookup("g2"), T), p)
     bound = 2 * 2 * 2 * 2 * p  # 2C p with C = 2nr = 8
     B = _reconstruct_ratio(f2_p, g2_p, min(bound, (T - 8) // 2))
     ok = B is not None and B.height <= bound

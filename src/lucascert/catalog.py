@@ -10,10 +10,13 @@ Shipped entries:
   cy210          C(2j,j) * sum_k (-1)^k C(2j,k)^4
   cy26           C(2j,j) * sum_k C(j,k)^2 C(j+k,k) C(2k,j)
 
-Apery terms are produced by the classical three-term recurrence (exact
-integer arithmetic, divisibility asserted); the quadruple-sum definition is
-kept as the test oracle since it is quadratic in the truncation order.
-Everything else is a direct big-integer binomial sum.
+Over Q, Apery terms come from the classical three-term recurrence (exact
+integer arithmetic, divisibility asserted; the quadruple-sum definition is
+the test oracle) and everything else is a direct big-integer binomial sum.
+`series_mod_p` computes f|_p of the binomial kinds (binom_power, f_r, cy210,
+cy26) from base-p digits by Lucas' theorem, with no big integers, and
+reduces the Q expansion of the others; the Q route is the digit routes'
+test oracle and the one `p_lucas_check` keeps.
 """
 
 import json
@@ -21,9 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .diffop import DiffOp, diffop_from_json, diffop_from_polys, expand, json_value, recurrence_from
+from .diffop import (
+    DiffOp, diffop_from_json, diffop_from_polys, diffop_to_json, expand, json_value, recurrence_from,
+)
 from .errors import ParseError, UnknownSeries
-from .fields import QQ, is_prime, reduce_rat_mod_p
+from .fields import QQ, PrimeField, is_prime, reduce_rat_mod_p
+from .poly import Poly
 from .series import TruncSeries, reduce_series_mod_p
 
 KINDS = ("binom_power", "f_r", "apery", "cy26", "cy210", "operator")
@@ -63,8 +69,6 @@ def gen_terms(g, T):
 def _cache_key(g):
     # closed forms are determined by (kind, r); operator entries by content
     if g.kind == "operator":
-        from .diffop import diffop_to_json
-
         return (g.kind, json.dumps(diffop_to_json(g.operator)), g.initial)
     return (g.kind, g.r)
 
@@ -73,15 +77,7 @@ def _generate(g, T):
     if g.kind == "binom_power":
         return [Fraction(b**g.r) for b in _central_binomials(T)]
     if g.kind == "f_r":
-        # -C(2n,n)^r / (2n-1) is an integer: C(2n,n)/(2n-1) = 2 Catalan(n-1)
-        out = [Fraction(1)]
-        for n, b in enumerate(_central_binomials(T)):
-            if n == 0:
-                continue
-            quotient, rem = divmod(b, 2 * n - 1)
-            assert rem == 0
-            out.append(Fraction(-quotient * b ** (g.r - 1)))
-        return out[:T]
+        return [Fraction(-(b**g.r), 2 * n - 1) for n, b in enumerate(_central_binomials(T))]
     if g.kind == "apery":
         return [Fraction(v) for v in apery_numbers(T)]
     if g.kind == "cy210":
@@ -132,8 +128,40 @@ def series_over_q(g, T):
 
 
 def series_mod_p(g, p, T):
-    """f|_p to order T: exact expansion over Q, then coefficientwise reduction."""
-    return reduce_series_mod_p(series_over_q(g, T), p)
+    """f|_p to order T: by Lucas digits for binomial-type kinds, else reduced from Q."""
+    route = _MOD_P_ROUTES.get(g.kind)
+    if route is None:
+        return reduce_series_mod_p(series_over_q(g, T), p)
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    return TruncSeries(PrimeField(p), route(g, p, T))  # PrimeField rejects a non-prime p first
+
+
+def _central_binomials_mod_p(T, p):
+    """C(2n,n) mod p for n < T: C(2d,d) over the base-p digits d of n, multiplied."""
+    digit = [_lucas(2 * d, d, p) for d in range(min(p, T))]
+    out = [1]
+    for n in range(1, T):
+        out.append(out[n // p] * digit[n % p] % p)
+    return out
+
+
+def _f_r_mod_p(g, p, T):
+    # -C(2n,n)^r / (2n-1) = -2 Catalan(n-1) C(2n,n)^(r-1), Catalan(n-1) = C(2n-2,n-1) - C(2n-2,n)
+    central = _central_binomials_mod_p(T, p)
+    out = [1]
+    for n in range(1, T):
+        catalan = central[n - 1] - _lucas(2 * n - 2, n, p)
+        out.append(-2 * catalan * pow(central[n], g.r - 1, p) % p)
+    return out
+
+
+_MOD_P_ROUTES = {
+    "binom_power": lambda g, p, T: [pow(b, g.r, p) for b in _central_binomials_mod_p(T, p)],
+    "f_r": _f_r_mod_p,
+    "cy210": lambda g, p, T: [cy210_mod(j, p) for j in range(T)],
+    "cy26": lambda g, p, T: [cy26_mod(j, p) for j in range(T)],
+}
 
 
 # -- congruences ----------------------------------------------------------------
@@ -143,6 +171,10 @@ def lucas_binom(n, k, p):
     """C(n, k) mod p through base-p digits: the product of C(n_i, k_i)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _lucas(n, k, p)
+
+
+def _lucas(n, k, p):
     if k < 0 or k > n:
         return 0
     out = 1
@@ -155,6 +187,19 @@ def lucas_binom(n, k, p):
         if out == 0:
             return 0
     return out
+
+
+def cy210_mod(n, p):
+    """cy210_term(n) mod p, every binomial by Lucas digits."""
+    s = sum((-1) ** k * lucas_binom(2 * n, k, p) ** 4 for k in range(2 * n + 1))
+    return lucas_binom(2 * n, n, p) * s % p
+
+
+def cy26_mod(n, p):
+    """cy26_term(n) mod p, every binomial by Lucas digits."""
+    s = sum(lucas_binom(n, k, p) ** 2 * lucas_binom(n + k, k, p) * lucas_binom(2 * k, n, p)
+            for k in range(n + 1))
+    return lucas_binom(2 * n, n, p) * s % p
 
 
 def p_lucas_check(g, p, M):
@@ -237,8 +282,6 @@ def lookup(name, catalog=None):
 
 def hypergeometric_fr_operator(r):
     """The order-r annihilator delta^r - 4^r z (delta - 1/2)(delta + 1/2)^(r-1) of f_r."""
-    from .poly import Poly
-
     half = Fraction(1, 2)
     # expand (x - 1/2)(x + 1/2)^(r-1) as a polynomial in x
     pol = Poly(QQ, [-half, Fraction(1)])
@@ -265,9 +308,7 @@ def catalog_to_json(catalog):
         if entry.kind in ("binom_power", "f_r"):
             item["r"] = entry.r
         if entry.operator is not None:
-            from .diffop import diffop_to_json
-
-            item["operator"] = diffop_to_json(entry.operator)
+                item["operator"] = diffop_to_json(entry.operator)
         if entry.kind == "operator":
             item["initial"] = [str(v) for v in entry.initial]
         out.append(item)

@@ -81,15 +81,6 @@ class DiffOp:
             and other.coeffs == self.coeffs
         )
 
-    def equals_up_to_factor(self, other):
-        """True when the operators differ by a nonzero rational-function factor."""
-        if self.basis != other.basis or self.order != other.order:
-            return False
-        ratio = self.coeffs[0] / other.coeffs[0]
-        return all(
-            (a - b * ratio).is_zero() for a, b in zip(self.coeffs[1:], other.coeffs[1:])
-        )
-
     def apply(self, f):
         """Apply the operator to a truncated series.
 

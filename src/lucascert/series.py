@@ -100,23 +100,6 @@ class TruncSeries:
         c = f.coerce(c)
         return TruncSeries(f, [f.mul(c, a) for a in self.coeffs])
 
-    def inverse(self):
-        """Multiplicative inverse to the same order; needs a unit constant term."""
-        f = self.field
-        if not self.coeffs or f.is_zero(self.coeffs[0]):
-            raise ZeroDivisionError("series constant term is zero")
-        T = len(self.coeffs)
-        inv0 = f.inv(self.coeffs[0])
-        out = [inv0] + [f.zero] * (T - 1)
-        for n in range(1, T):
-            acc = f.zero
-            for k in range(1, n + 1):
-                ck = self.coeffs[k]
-                if not f.is_zero(ck):
-                    acc = f.add(acc, f.mul(ck, out[n - k]))
-            out[n] = f.neg(f.mul(inv0, acc))
-        return TruncSeries(f, out)
-
     def __pow__(self, e):
         result = TruncSeries.one(self.field, len(self.coeffs))
         base = self

@@ -14,10 +14,13 @@ from lucascert import (
     lookup,
     lucas_binom,
     p_lucas_check,
+    reduce_series_mod_p,
     series_mod_p,
+    series_over_q,
 )
 from lucascert.catalog import apery_numbers, cy26_term, cy210_term
 from lucascert.diffop import expand, recurrence_from
+from test_diffop import equals_up_to_factor
 
 CAT = default_catalog()
 
@@ -124,6 +127,48 @@ def test_central_binomial_digit_shift():
         assert lucas_binom(2 * j * p, j * p, p) == direct
 
 
+# -- series_mod_p: the Lucas-digit routes against the Q route ---------------------
+
+ROUTE_PRIMES = (3, 5, 7, 11, 13, 37)
+EXTRA = catalog_from_json(
+    [
+        {"name": "b4", "kind": "binom_power", "r": 4},
+        {"name": "f4", "kind": "f_r", "r": 4},
+        {"name": "f5", "kind": "f_r", "r": 5},
+    ]
+)
+
+
+def _q_route(entry, p, T):
+    return reduce_series_mod_p(series_over_q(entry, T), p)
+
+
+@pytest.mark.parametrize("p", ROUTE_PRIMES)
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "f1", "f2", "f3", "b4", "f4", "f5"])
+def test_series_mod_p_digit_route_matches_q_route(name, p):
+    entry = CAT.get(name) or EXTRA[name]
+    for T in (1, 2, p, 2000):
+        fast, slow = series_mod_p(entry, p, T), _q_route(entry, p, T)
+        assert (fast.field, fast.coeffs) == (slow.field, slow.coeffs), (name, p, T)
+
+
+@pytest.mark.parametrize("p", ROUTE_PRIMES)
+@pytest.mark.parametrize("name", ["cy210", "cy26"])
+def test_series_mod_p_cy_route_matches_q_route(name, p):
+    for T in (1, 2, p, 200):
+        assert series_mod_p(CAT[name], p, T).coeffs == _q_route(CAT[name], p, T).coeffs, (name, p, T)
+
+
+def test_series_mod_p_digit_route_rejects_bad_input():
+    with pytest.raises(ValueError):
+        series_mod_p(CAT["f2"], 9, 10)
+    for p in (0, 1, -3):
+        with pytest.raises(ValueError):
+            series_mod_p(CAT["g2"], p, 10)
+    with pytest.raises(ValueError):
+        series_mod_p(CAT["f2"], 5, 0)
+
+
 # -- p-Lucas checks -------------------------------------------------------------------
 
 
@@ -192,7 +237,7 @@ def test_catalog_json_roundtrip():
     assert set(back) == set(CAT)
     for name in ("f2", "apery"):
         assert gen_terms(back[name], 10) == gen_terms(CAT[name], 10)
-        assert back[name].operator.equals_up_to_factor(CAT[name].operator)
+        assert equals_up_to_factor(back[name].operator, CAT[name].operator)
 
 
 def test_catalog_operator_entry_kind():

@@ -6,7 +6,8 @@ from lucascert import (
     certificate_from_json,
     default_catalog,
     diffop_to_json,
-    series_mod_p,
+    reduce_series_mod_p,
+    series_over_q,
     verify_certificate,
 )
 from lucascert.cli import build_parser, main
@@ -118,6 +119,15 @@ def test_certify_f2_height_12(capsys):
     assert cert["height"] == 12
 
 
+def test_certify_f2_p7_auto_T(capsys):
+    # auto T = 76848: desk scale because f2 is expanded mod p by Lucas digits, not over Q
+    assert main(["certify", "f2", "-p", "7"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["level"] == 2
+    assert cert["height"] == 168 == 7 * (7**2 - 1) // 2
+    assert cert["verified_to"] >= 2 * cert["height"]
+
+
 def test_certify_bad_prime(capsys):
     assert main(["certify", "f2", "-p", "2", "--T", "128"]) == 1
 
@@ -125,7 +135,7 @@ def test_certify_bad_prime(capsys):
 def test_certificate_roundtrip_reverifies(capsys):
     assert main(["certify", "f2", "-p", "3", "--T", "512"]) == 0
     cert = certificate_from_json(json.loads(capsys.readouterr().out))
-    fresh = series_mod_p(default_catalog()["f2"], 3, 512)
+    fresh = reduce_series_mod_p(series_over_q(default_catalog()["f2"], 512), 3)  # not the certify route
     assert verify_certificate(cert, fresh)
 
 
@@ -139,6 +149,15 @@ def test_casebook_210_p2_warns_exit_zero(capsys):
     assert code == 0
     assert "excluded" in captured.out
     assert "warning" in captured.err
+
+
+def test_casebook_odd_prime_cases_exclude_p2(capsys):
+    # 2f1 and independence used to raise ValueError (a traceback on the CLI) at p = 2
+    code = main(["casebook", "2f1", "independence", "--primes", "2", "--allow-two"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert [r["excluded"] for r in json.loads(captured.out)] == [True, True]
+    assert "case 2f1 at p=2 excluded" in captured.err and "Traceback" not in captured.err
 
 
 def test_casebook_excluded_prime_without_flag(capsys):

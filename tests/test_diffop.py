@@ -38,6 +38,14 @@ from lucascert import (
 from lucascert.linalg import mat_add, mat_mul
 
 CAT = default_catalog()
+
+
+def equals_up_to_factor(L, M):
+    """True when the operators differ by a nonzero rational-function factor."""
+    if L.basis != M.basis or L.order != M.order:
+        return False
+    ratio = L.coeffs[0] / M.coeffs[0]
+    return all((a - b * ratio).is_zero() for a, b in zip(L.coeffs[1:], M.coeffs[1:]))
 L_2F1 = CAT["f2"].operator  # z(1-16z) d^2 + (1-16z) d + 4
 L_APERY = CAT["apery"].operator
 
@@ -53,7 +61,7 @@ def test_to_delta_2f1():
     # by hand: z^2 L = (1-16z) delta^2 + 4z after stripping one z
     Ld = to_delta(L_2F1)
     expected = diffop_from_polys(QQ, "delta", [[0, 4], [], [1, -16]])
-    assert Ld.equals_up_to_factor(expected)
+    assert equals_up_to_factor(Ld, expected)
 
 
 def test_to_delta_order_one():
@@ -61,7 +69,7 @@ def test_to_delta_order_one():
     L = diffop_from_polys(QQ, "d", [[], [1]])
     Ld = to_delta(L)
     expected = diffop_from_polys(QQ, "delta", [[], [1]])
-    assert Ld.equals_up_to_factor(expected)
+    assert equals_up_to_factor(Ld, expected)
 
 
 def test_to_delta_identity_on_delta_input():
@@ -72,18 +80,18 @@ def test_to_delta_identity_on_delta_input():
 def test_to_d_2f1():
     Ld = diffop_from_polys(QQ, "delta", [[0, 4], [], [1, -16]])
     got = to_d(Ld)
-    assert got.equals_up_to_factor(L_2F1)
+    assert equals_up_to_factor(got, L_2F1)
 
 
 def test_to_d_delta():
     L = diffop_from_polys(QQ, "delta", [[], [1]])
     expected = diffop_from_polys(QQ, "d", [[], [0, 1]])  # z d/dz
-    assert to_d(L).equals_up_to_factor(expected)
+    assert equals_up_to_factor(to_d(L), expected)
 
 
 def test_roundtrip_apery_up_to_factor():
     back = to_d(to_delta(L_APERY))
-    assert back.equals_up_to_factor(L_APERY)
+    assert equals_up_to_factor(back, L_APERY)
 
 
 def test_roundtrip_preserves_annihilation():
@@ -200,7 +208,7 @@ def test_infinity_transform_delta_sign_flip():
     L = diffop_from_polys(QQ, "delta", [[], [1]])  # delta
     Linf = infinity_transform(L)
     expected = diffop_from_polys(QQ, "d", [[], [0, 1]])  # z d/dz up to sign
-    assert to_delta(Linf).equals_up_to_factor(to_delta(expected))
+    assert equals_up_to_factor(to_delta(Linf), to_delta(expected))
     # delta maps to -delta, so the indicial root stays 0
     assert indicial_at_zero(Linf) == qpoly([0, 1])
 
@@ -215,7 +223,7 @@ def test_infinity_transform_2f1_exponents():
 def test_infinity_transform_involution():
     for L in (L_2F1, L_APERY, CAT["g1"].operator):
         twice = infinity_transform(infinity_transform(L))
-        assert twice.equals_up_to_factor(to_d(L))
+        assert equals_up_to_factor(twice, to_d(L))
 
 
 def test_exponent_duality_on_catalog():
@@ -473,7 +481,7 @@ def test_json_roundtrip():
         data = json.loads(json.dumps(diffop_to_json(L)))
         back = diffop_from_json(data)
         assert back.basis == L.basis
-        assert back.equals_up_to_factor(L)
+        assert equals_up_to_factor(back, L)
 
 
 def test_json_parse_errors():
