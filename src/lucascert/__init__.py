@@ -9,6 +9,7 @@ bounds, at exact desk scale.
 
 from .errors import (
     BadPrime,
+    BudgetExceeded,
     HeightBoundViolated,
     LeadingZero,
     LucascertError,

@@ -5,6 +5,9 @@ triples; congruences are always evaluated by two independent routes
 (exact big-integer sums reduced mod p, and digit-wise Lucas-theorem
 evaluation) that must agree.  Series mod p come from the Q expansion, never
 from the Lucas-digit route of `series_mod_p` whose congruences are checked.
+Rational reconstruction also runs by two routes that must agree: the
+extended Euclidean algorithm (`pade_ratio`) at the working order, and the
+dense kernel solve (`pade_kernel`) at the tight order 2h + 1 for height h.
 """
 
 import csv
@@ -23,7 +26,7 @@ from .catalog import (
     hypergeometric_fr_operator,
 )
 from .diffop import is_mom, indicial_at_zero
-from .certify import pade_ratio
+from .certify import pade_kernel, pade_ratio
 from .errors import ReconstructionFailed, UnknownCase
 from .fields import GF, QQ
 from .poly import Poly
@@ -185,7 +188,8 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
             break
         exp_num = sum(p**j for j in range(1, k + 2))
         exp_den = p ** (k + 1) - 1
-        Bk = RatFun(P1**exp_num, P2**exp_den)
+        # (P1/P2)^e' P1^(e - e'): Henrici products, no gcd on the large powers
+        Bk = RatFun(P1, P2) ** exp_den * P1 ** (exp_num - exp_den)
         expected = p * (p ** (k + 1) - 1) // 2
         heights.append(Bk.height)
         ok_height = Bk.height == expected
@@ -208,7 +212,8 @@ def case_independence(p, T=300):
     the order-r operator delta^r - 4^r z (delta-1/2)(delta+1/2)^(r-1), and
     that operator is MOM at zero.  For the Apery pair: t is a Cartier fixed
     point mod p, and f_2|p = B * g_2|p with B = P_2/P_1 recovered by rational
-    reconstruction of bounded height.
+    reconstruction of bounded height, by pade_ratio at order T and again by
+    pade_kernel on the first 2h + 1 coefficients, h = (p - 1)/2 = height(B).
     """
     result = CaseResult("independence", p)
     if p < 3:
@@ -239,8 +244,12 @@ def case_independence(p, T=300):
     f2_p = reduce_series_mod_p(series_over_q(lookup("f2"), T), p)
     g2_p = reduce_series_mod_p(series_over_q(lookup("g2"), T), p)
     bound = 2 * 2 * 2 * 2 * p  # 2C p with C = 2nr = 8
-    B = _reconstruct_ratio(f2_p, g2_p, min(bound, (T - 8) // 2))
-    ok = B is not None and B.height <= bound
+    B = _reconstruct_ratio(pade_ratio, f2_p, g2_p, min(bound, (T - 8) // 2))
+    h = (p - 1) // 2
+    tight = 2 * h + 1  # beyond T, B of height h is out of pade_ratio's reach as well
+    B_kernel = (_reconstruct_ratio(pade_kernel, f2_p.truncate(tight), g2_p.truncate(tight), h)
+                if tight <= T else None)
+    ok = B is not None and B.height <= bound and B_kernel == B
     if ok:
         lhs = f2_p.mul_poly(B.den)
         rhs = g2_p.mul_poly(B.num)
@@ -255,9 +264,9 @@ def case_independence(p, T=300):
     return result
 
 
-def _reconstruct_ratio(num_series, den_series, deg_bound):
+def _reconstruct_ratio(route, num_series, den_series, deg_bound):
     try:
-        u, v = pade_ratio(num_series, den_series, deg_bound)
+        u, v = route(num_series, den_series, deg_bound)
     except ReconstructionFailed:
         return None
     return RatFun(u, v)

@@ -34,15 +34,16 @@ from fractions import Fraction
 from functools import reduce
 
 from .catalog import series_mod_p
-from .diffop import companion, good_primes, is_mom, recurrence_from, singularities, to_delta
+from .diffop import _bad_integers, companion, is_mom, recurrence_from, singularities, to_delta
 from .errors import (
     BadPrime,
+    BudgetExceeded,
     HeightBoundViolated,
     NoCycleFound,
     ReconstructionFailed,
     SylvesterSingular,
 )
-from .fields import QQ, PrimeField
+from .fields import QQ, PrimeField, is_prime
 from .linalg import kernel_basis, mat_add, mat_mul
 from .poly import Poly
 from .ratfun import RatFun
@@ -51,6 +52,8 @@ from .series import TruncSeries, ratfun_series
 L_BOUND = "L_bound"
 L2_BOUND = "L2_bound"
 PROP62_BOUND = "prop62_bound"
+
+MAX_T = 2 * 10**6  # expansion budget of assemble_certificate, in series terms
 
 
 @dataclass(frozen=True)
@@ -119,9 +122,10 @@ def split_pade(f_p, d, p, normalize=True):
     Each section cartier(f, p, r) equals P_r(z) c(z) where
     P = sum_r z^r P_r(z^p) with deg P_r <= d - 1, so the ratio of section r
     to section 0 is the rational function P_r / P_0.  The P_r are recovered
-    by a linear Pade solve and put over their least common denominator,
-    then P is normalized to P(0) = 1 and the split is verified by checking
-    that f / P is supported on multiples of p.
+    by rational reconstruction (pade_ratio) and put over their least common
+    denominator, then P is normalized to P(0) = 1 and the split is verified
+    as f = P(z) c(z^p).  A section relation that fails at its index j is
+    reported at index j*p + r of f.
     """
     field = f_p.field
     if not isinstance(field, PrimeField) or field.p != p:
@@ -138,7 +142,13 @@ def split_pade(f_p, d, p, normalize=True):
         )
     ratios = []
     for r in range(1, p):
-        ratios.append(pade_ratio(sections[r], s0, d - 1))
+        try:
+            ratios.append(pade_ratio(sections[r], s0, d - 1))
+        except ReconstructionFailed as exc:
+            if exc.index is None:
+                raise
+            m = exc.index * p + r
+            raise ReconstructionFailed(f"section {r} relation fails at index {m} of f", index=m) from exc
     common = Poly.one(field)
     for _, v in ratios:
         common = common.lcm(v)
@@ -157,11 +167,43 @@ def split_pade(f_p, d, p, normalize=True):
 
 
 def pade_ratio(num_series, den_series, deg_bound):
-    """Minimal (u, v), deg <= deg_bound, with u*den = v*num to the working order.
+    """Reduced (u, v), deg <= deg_bound = D and v monic, with u*den = v*num to order T.
 
-    Returns the gcd-reduced pair with v monic; all solutions of the linear
-    system are polynomial multiples of it once the order exceeds twice the
-    bound, so the output is canonical up to that normalization.
+    The extended Euclidean algorithm on z^k and num/den mod z^k, k = min(2D + 2, T)
+    (von zur Gathen-Gerhard, Modern Computer Algebra, 5.7-5.9), stops at the first
+    remainder r_j of degree <= D; (r_j, t_j) divides every solution of degree <= D.
+    One product checks it to order T: if it first fails at index e, z^(T-e) (r_j, t_j)
+    must still have degree <= D, or ReconstructionFailed names e.  Same output as
+    the dense solve pade_kernel.  Requires den(0) != 0 and T >= 2D + 1 (ValueError).
+    """
+    field = num_series.field
+    T = min(len(num_series), len(den_series))
+    if T < 2 * deg_bound + 1:
+        raise ValueError(f"reconstruction at degree {deg_bound} needs order {2 * deg_bound + 1}, have {T}")
+    if field.is_zero(den_series[0]):
+        raise ValueError("rational reconstruction needs den(0) != 0")
+    k = min(2 * deg_bound + 2, T)
+    s = num_series.truncate(k).div_poly(den_series.truncate(k).poly())
+    r0, r1 = Poly.one(field).shift(k), s.poly()
+    t0, t1 = Poly.zero(field), Poly.one(field)
+    while r1.degree() > deg_bound:
+        q, r = r0.divmod(r1)
+        r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
+    u, v = r1, t1
+    e = den_series.truncate(T).mul_poly(u).first_difference(num_series.truncate(T).mul_poly(v))
+    if max(u.degree(), v.degree()) + (0 if e is None else T - e) > deg_bound:
+        where = "" if e is None else f" (fails at index {e})"
+        raise ReconstructionFailed(f"no relation of degree <= {deg_bound}{where}", index=e)
+    return _reduced_pair(u, v)
+
+
+def pade_kernel(num_series, den_series, deg_bound):
+    """pade_ratio by a dense solve: the kernel of the T x 2(D+1) linear system.
+
+    All solutions of the linear system are polynomial multiples of one
+    reduced pair once the order exceeds twice the bound, so the output is
+    canonical.  The test oracle of the Euclidean route, and the casebook's
+    second route.
     """
     field = num_series.field
     T = min(len(num_series), len(den_series))
@@ -190,10 +232,14 @@ def pade_ratio(num_series, den_series, deg_bound):
                 break
         else:
             raise ReconstructionFailed("section relation has zero denominator")
+    return _reduced_pair(u, v)
+
+
+def _reduced_pair(u, v):
     g = u.gcd(v)
     if g.degree() > 0:
         u, v = u.exact_div(g), v.exact_div(g)
-    lc = field.inv(v.leading())
+    lc = u.field.inv(v.leading())
     return u.scale(lc), v.scale(lc)
 
 
@@ -248,6 +294,13 @@ def split_elimination(f_p, d, p, normalize=True):
 
 
 def _finish_split(f_p, P, d, p, normalize):
+    """Normalize P and verify the split f = P(z) c(z^p) to the order of f.
+
+    With P = z^v P_hat, p | v and P_hat(0) != 0, f / P_hat is a series in z^p
+    iff f = P_hat c(z^p) with c = Lambda_p(f) / Lambda_p(P_hat): a division of
+    length T/p and one product, and the first index where they differ (named
+    by ReconstructionFailed) is the first nonzero off-p index of f / P_hat.
+    """
     field = f_p.field
     if normalize:
         c0 = P.eval(field.zero)
@@ -259,12 +312,10 @@ def _finish_split(f_p, P, d, p, normalize):
     if v % p != 0:
         raise ReconstructionFailed("split polynomial valuation not divisible by p")
     P_hat = Poly(field, P.coeffs[v:])
-    quotient = f_p.div_poly(P_hat)
-    for m, c in enumerate(quotient.coeffs):
-        if m % p != 0 and not field.is_zero(c):
-            raise ReconstructionFailed(
-                f"f / P is not a series in z^p (index {m})"
-            )
+    c = f_p.cartier(p, 0).div_poly(Poly(field, P_hat.coeffs[::p]))
+    m = f_p.first_difference(c.compose_power(p, 1, out_len=len(f_p)).mul_poly(P_hat))
+    if m is not None:
+        raise ReconstructionFailed(f"f / P is not a series in z^p (index {m})", index=m)
     return SplitWitness(P=P, p=p, degree_bound=p * d - 1, verified_to=len(f_p))
 
 
@@ -388,14 +439,15 @@ def assemble_certificate(seqgen, p, T=None, max_steps=6, min_length=32):
     good primes.  The level comes from orbit detection; the certificate is
     assembled as A_{0,l} (A_{l,l}/A_{0,l})^(p^l) and carries the L^2-type
     bound 2C p^(2l) with C = 2nr, or collapses to A_{0,l} with the L-type
-    bound C p^l when the orbit has no preperiod.
+    bound C p^l when the orbit has no preperiod.  No expansion, probe or
+    final, goes past MAX_T terms: BudgetExceeded names the T needed instead.
     """
     L = seqgen.operator
     if L is None:
         raise BadPrime(f"series {seqgen.name!r} has no operator in the catalog")
     if not is_mom(L):
         raise BadPrime(f"operator of {seqgen.name!r} is not MOM at zero")
-    if p not in good_primes(L, p):
+    if not (is_prime(p) and all(v % p for v in _bad_integers(L))):
         raise BadPrime(f"{p} is not a good prime for {seqgen.name!r}")
     n = L.order
     r = singularities(L).count_r
@@ -407,6 +459,7 @@ def assemble_certificate(seqgen, p, T=None, max_steps=6, min_length=32):
         # step), then size T from the certified height bound
         probe = 512
         for attempt in range(5):
+            _check_budget(probe)
             f_p = series_mod_p(seqgen, p, probe)
             try:
                 orbit = orbit_detect(f_p, p, max_steps=max_steps, min_length=min_length)
@@ -420,6 +473,7 @@ def assemble_certificate(seqgen, p, T=None, max_steps=6, min_length=32):
         else:
             bound_guess = 2 * C * p ** (2 * orbit.level)
         T = max(2 * bound_guess + 16, 512, probe)
+    _check_budget(T)
     f_p = series_mod_p(seqgen, p, T)
     orbit = orbit_detect(f_p, p, max_steps=max_steps, min_length=min_length)
     level = orbit.level
@@ -449,6 +503,11 @@ def assemble_certificate(seqgen, p, T=None, max_steps=6, min_length=32):
         bound_kind=kind,
         series=seqgen.name,
     )
+
+
+def _check_budget(T):
+    if T > MAX_T:
+        raise BudgetExceeded(f"certify needs T = {T} series terms, above the budget MAX_T = {MAX_T}")
 
 
 def verify_certificate(cert, f_p):

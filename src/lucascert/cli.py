@@ -18,7 +18,7 @@ import sys
 
 from .casebook import batch_report, case_ids, results_to_csv
 from .catalog import default_catalog, load_catalog, lookup, gen_terms
-from .certify import assemble_certificate
+from .certify import MAX_T, assemble_certificate
 from .diffop import (
     diffop_from_json,
     good_primes,
@@ -211,7 +211,7 @@ def build_parser():
     output_options(sp, ("text", "json"))
     sp.set_defaults(fn=cmd_opinfo)
 
-    sp = sub.add_parser("certify", help="build a Lucas-type certificate")
+    sp = sub.add_parser("certify", help=f"build a Lucas-type certificate (at most {MAX_T} terms)")
     sp.add_argument("-p", type=int, required=True, dest="p")
     # without an explicit --T the library picks an order from the height bound
     series_options(sp, None)

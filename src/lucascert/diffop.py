@@ -456,6 +456,12 @@ def good_primes(L, bound):
     the product of all pairwise differences of the finite singular points,
     realized through discriminants and resultants of the singular factors.
     """
+    bad = _bad_integers(L)
+    return [p for p in primes_upto(bound) if all(v % p for v in bad)]
+
+
+def _bad_integers(L):
+    """Nonzero integers such that a prime is bad for L exactly when it divides one."""
     if L.field != QQ:
         raise TypeError("good primes are defined for operators over Q")
     Ld = to_d(L)
@@ -489,9 +495,8 @@ def good_primes(L, bound):
     if pairwise != 0:
         bad += [pairwise.numerator, pairwise.denominator]
 
-    # only primes up to bound matter, so test them by division; 0 marks nothing
-    bad = [v for v in bad if v]
-    return [p for p in primes_upto(bound) if all(v % p for v in bad)]
+    # primes are tested against these by division; 0 marks nothing
+    return [v for v in bad if v]
 
 
 # -- recurrence extraction ----------------------------------------------------------

@@ -49,6 +49,10 @@ class LeadingZero(LucascertError):
 class ReconstructionFailed(LucascertError):
     """No rational/polynomial relation of the requested degree exists."""
 
+    def __init__(self, message, index=None):
+        self.index = index  # first coefficient index at which the relation fails, when known
+        super().__init__(message)
+
 
 class HeightBoundViolated(LucascertError):
     """A constructed certificate exceeds its theoretical height bound."""
@@ -57,6 +61,10 @@ class HeightBoundViolated(LucascertError):
         self.height = height
         self.bound = bound
         super().__init__(f"{what} height {height} exceeds bound {bound}")
+
+
+class BudgetExceeded(LucascertError):
+    """A computation would need more series terms than its fixed budget allows."""
 
 
 class NoCycleFound(LucascertError):

@@ -22,9 +22,7 @@ class RatFun:
                 num, den = num, Poly.one(den.field)
             else:
                 g = num.gcd(den)
-                if g.degree() > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                num, den = _cancel(num, g), _cancel(den, g)
                 lc_inv = den.field.inv(den.leading())
                 num = num.scale(lc_inv)
                 den = den.scale(lc_inv)
@@ -105,19 +103,38 @@ class RatFun:
         return RatFun(-self.num, self.den, _reduced=True)
 
     def __mul__(self, other):
+        """Henrici's product of reduced fractions (Knuth, TAOCP 2, 4.5.1).
+
+        (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d) and
+        g2 = gcd(c, b) is reduced, so no gcd runs on the products.
+        """
         other = self._coerce(other)
-        return RatFun(self.num * other.num, self.den * other.den)
+        if self.is_zero() or other.is_zero():
+            return RatFun.zero(self.field)
+        g1, g2 = self.num.gcd(other.den), other.num.gcd(self.den)
+        return RatFun(
+            _cancel(self.num, g1) * _cancel(other.num, g2),
+            _cancel(self.den, g2) * _cancel(other.den, g1),
+            _reduced=True,
+        )
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return self * other._inverse()
 
     def __pow__(self, e):
         if e < 0:
-            return RatFun(self.den ** (-e), self.num ** (-e))
+            return self._inverse() ** (-e)
         return RatFun(self.num**e, self.den**e, _reduced=True)
+
+    def _inverse(self):
+        """den/num with the leading coefficient of num moved over: reduced, no gcd."""
+        if self.is_zero():
+            raise ZeroDenominator("inverse of the zero rational function")
+        lc_inv = self.field.inv(self.num.leading())
+        return RatFun(self.den.scale(lc_inv), self.num.scale(lc_inv), _reduced=True)
 
     def _coerce(self, other):
         if isinstance(other, RatFun):
@@ -150,3 +167,8 @@ class RatFun:
         if self.is_polynomial():
             return f"RatFun({self.num})"
         return f"RatFun(({self.num}) / ({self.den}))"
+
+
+def _cancel(a, g):
+    """a / g for a monic divisor g of a; g = 1 costs nothing."""
+    return a if g.degree() == 0 else a.exact_div(g)

@@ -11,6 +11,7 @@ from lucascert import (
     results_to_csv,
     run_case,
 )
+from lucascert import GF, Poly, casebook
 
 
 def test_case_210_small_primes():
@@ -58,6 +59,16 @@ def test_case_2f1_identities_p7():
 def test_case_independence():
     res = run_case("independence", 5, T=300)
     assert res.passed, [c for c in res.checks if not c[1]]
+
+
+@pytest.mark.parametrize("route", ["pade_ratio", "pade_kernel"])
+def test_independence_needs_both_reconstruction_routes(monkeypatch, route):
+    # B = P_2/P_1 comes from two routes; a wrong pair from either one fails the check
+    label = "f_2 = B g_2 with height(B) bounded"
+    assert dict((lbl, ok) for lbl, ok, _ in run_case("independence", 5).checks)[label]
+    monkeypatch.setattr(casebook, route, lambda num, den, D: (Poly.one(GF(5)), Poly(GF(5), [1, 1])))
+    checks = dict((lbl, ok) for lbl, ok, _ in run_case("independence", 5).checks)
+    assert not checks[label]
 
 
 def test_case_apery_lucas():

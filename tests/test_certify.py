@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,10 @@ from lucascert import (
     hypergeometric_fr_operator,
     iterate_certificates,
     orbit_detect,
+    pade_ratio,
     q_series,
     ratfun_series,
+    recurrence_from,
     reduce_series_mod_p,
     series_mod_p,
     series_over_q,
@@ -36,6 +39,8 @@ from lucascert import (
     to_delta,
     verify_certificate,
 )
+from lucascert import certify
+from lucascert.certify import MAX_T, pade_kernel
 from lucascert.linalg import mat_add, mat_mul
 from test_series import series_inverse
 
@@ -117,6 +122,86 @@ def test_split_needs_nonzero_constant_term():
     f = TruncSeries(GF(3), [0, 1] + [0] * 50)
     with pytest.raises(ReconstructionFailed):
         split_pade(f, 1, 3)
+
+
+def _pade_outcome(route, num, den, D):
+    try:
+        return route(num, den, D)
+    except ReconstructionFailed:
+        return "no relation"
+
+
+@pytest.mark.parametrize("p", [3, 5, 37, 2**31 - 1])
+def test_pade_euclid_matches_dense_kernel(p):
+    # random F_p series with and without a planted relation num/den = u/v, where
+    # u and v may share a factor and u may be zero
+    rng = random.Random(p)
+    F = GF(p)
+
+    def rand_poly(deg, unit_at_zero=False):
+        cs = [rng.randrange(p) for _ in range(deg + 1)]
+        if unit_at_zero and cs[0] == 0:
+            cs[0] = 1
+        return Poly(F, cs)
+
+    outcomes = set()
+    for D in (0, 1, 2, 5):
+        for T in range(2 * D + 1, 3 * D + 13):
+            for planted in (True, False):
+                den = TruncSeries(F, [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(T - 1)])
+                if planted:
+                    u, v = rand_poly(rng.randrange(D + 1)), rand_poly(rng.randrange(D + 1), unit_at_zero=True)
+                    num = den.mul_poly(u).div_poly(v)
+                else:
+                    num = TruncSeries(F, [rng.randrange(p) for _ in range(T)])
+                want = _pade_outcome(pade_kernel, num, den, D)
+                assert _pade_outcome(certify.pade_ratio, num, den, D) == want, (p, D, T, planted)
+                outcomes.add(want == "no relation")
+    assert outcomes == {True, False}
+
+
+def test_pade_euclid_keeps_degenerate_kernel_solutions():
+    # every solution of degree <= 1 to order 6 vanishes at 0, here (z, z): both routes
+    # return the reduced ratio (1, 1), which agrees with num/den only to order 5
+    F = GF(5)
+    num = TruncSeries(F, [1, 0, 0, 0, 0, 1])
+    den = TruncSeries.one(F, 6)
+    assert pade_kernel(num, den, 1) == pade_ratio(num, den, 1) == (Poly.one(F), Poly.one(F))
+    with pytest.raises(ReconstructionFailed) as exc:
+        pade_ratio(num, den, 0)
+    assert exc.value.index == 5
+
+
+def test_pade_ratio_preconditions():
+    F = GF(7)
+    one = TruncSeries.one(F, 10)
+    with pytest.raises(ValueError, match="den"):
+        pade_ratio(one, TruncSeries(F, [0, 1] + [0] * 8), 1)
+    with pytest.raises(ValueError, match="order"):
+        pade_ratio(one, one, 5)  # T = 10 < 2D + 1 = 11
+    assert pade_ratio(TruncSeries.one(F, 11), TruncSeries.one(F, 11), 5) == (Poly.one(F), Poly.one(F))
+
+
+def test_split_names_the_changed_coefficient():
+    # apery|37 with one coefficient changed at m: the split fails at m when p does
+    # not divide m, later when it does.  A change among the first 2d coefficients of
+    # a section (d = span) moves the reconstructed relation, which then fails later.
+    p, T = 37, 37 * 40
+    f = series_mod_p(CAT["apery"], p, T)
+    d = recurrence_from(CAT["apery"].operator).span
+    assert split_pade(f, d, p).P.degree() <= p * d - 1
+    for m in (5, 37, 4 * p + 1, 5 * p, 10 * p + 7, 20 * p, 500, T - 1):
+        cs = list(f.coeffs)
+        cs[m] = (cs[m] + 1) % p
+        changed = TruncSeries(GF(p), cs)
+        routes = [split_pade] + ([split_elimination] if m >= p * (2 * d + 1) else [])
+        for route in routes:
+            with pytest.raises(ReconstructionFailed) as exc:
+                route(changed, d, p)
+            if m % p and m >= 2 * d * p:
+                assert exc.value.index == m and str(m) in str(exc.value), (route, m)
+            else:
+                assert exc.value.index >= m, (route, m, exc.value)
 
 
 # -- one-step certificates ---------------------------------------------------------------
@@ -310,6 +395,28 @@ def test_assemble_rejects_bad_prime():
         assemble_certificate(CAT["apery"], 3, T=300)
     with pytest.raises(BadPrime):
         assemble_certificate(CAT["cy210"], 3, T=300)  # no operator shipped
+    with pytest.raises(BadPrime):
+        assemble_certificate(CAT["f2"], 9, T=300)  # not prime
+
+
+def test_assemble_auto_T_for_f2_at_11_is_within_budget(monkeypatch):
+    # the probe settles the orbit and the final order is 2 * 2C p^4 + 16 (C = 8),
+    # under MAX_T; the final expansion itself (about 7 s) is not run here
+    asked = []
+
+    class Stop(Exception):
+        pass
+
+    def record(g, p, T):
+        asked.append(T)
+        if T > 10**5:
+            raise Stop
+        return series_mod_p(g, p, T)
+
+    monkeypatch.setattr(certify, "series_mod_p", record)
+    with pytest.raises(Stop):
+        assemble_certificate(CAT["f2"], 11)
+    assert asked[-1] == 2 * 2 * 8 * 11**4 + 16 == 468528 <= MAX_T
 
 
 def test_certificate_soundness_independent_reverify():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from lucascert import (
     series_over_q,
     verify_certificate,
 )
+from lucascert.certify import MAX_T
 from lucascert.cli import build_parser, main
 
 
@@ -126,6 +128,25 @@ def test_certify_f2_p7_auto_T(capsys):
     assert cert["level"] == 2
     assert cert["height"] == 168 == 7 * (7**2 - 1) // 2
     assert cert["verified_to"] >= 2 * cert["height"]
+
+
+def test_certify_huge_prime_needs_no_sieve(capsys):
+    # p is tested against the operator's bad integers, not sieved up to p
+    start = time.perf_counter()
+    assert main(["certify", "f2", "-p", "1000000007", "--T", "64"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "no Cartier collision" in capsys.readouterr().err
+
+
+def test_certify_over_expansion_budget_is_input_error(capsys):
+    # the 512-term probe finds no orbit at p = 1000003, and the next probe would be 512 p terms
+    start = time.perf_counter()
+    assert main(["certify", "f2", "-p", "1000003"]) == 1
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert f"T = {512 * 1000003}" in err and f"MAX_T = {MAX_T}" in err
+    assert main(["certify", "f2", "-p", "3", "--T", str(MAX_T + 1)]) == 1
+    assert f"T = {MAX_T + 1}" in capsys.readouterr().err
 
 
 def test_certify_bad_prime(capsys):

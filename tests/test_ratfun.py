@@ -112,3 +112,33 @@ def test_power_and_division():
     a = RatFun(to_poly(F, [1, 1]), to_poly(F, [1, 2]))
     assert a**3 / a == a * a
     assert a ** (-2) == RatFun.one(F) / (a * a)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(101)])
+def test_henrici_products_match_naive(field):
+    # random reduced fractions, including zero and constants, given cross
+    # factors so that a.num shares with b.den and b.num with a.den
+    rng = random.Random(4511)
+    for _ in range(150):
+        a, b = rand_ratfun(rng, field, max_deg=rng.choice((0, 3))), rand_ratfun(rng, field)
+        shared = rand_ratfun(rng, field, max_deg=2).den
+        a = RatFun(a.num * shared, a.den)
+        b = RatFun(b.num, b.den * shared)
+        if rng.random() < 0.5:
+            a, b = b, a
+        assert a * b == RatFun(a.num * b.num, a.den * b.den)
+        if not b.is_zero():
+            assert a / b == RatFun(a.num * b.den, a.den * b.num)
+        if not a.is_zero():
+            k = rng.randrange(1, 4)
+            assert a ** (-k) == RatFun(a.den**k, a.num**k)
+        assert a * b.num == RatFun(a.num * b.num, a.den)  # a Poly operand
+        assert a * 3 == RatFun(a.num.scale(3), a.den)
+
+
+def test_inverse_of_zero():
+    zero = RatFun.zero(GF(5))
+    with pytest.raises(ZeroDenominator):
+        zero ** (-1)
+    with pytest.raises(ZeroDivisionError):
+        RatFun.one(GF(5)) / zero
