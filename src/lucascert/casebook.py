@@ -205,7 +205,7 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
     return result
 
 
-def case_independence(p, T=300):
+def case_independence(p, T=None):
     """The certificate ingredients behind the algebraic-independence transfers.
 
     For r in {2, 3}: Lambda_p(f_r)|p = g_r|p = Lambda_p^2(f_r)|p, f_r kills
@@ -214,10 +214,14 @@ def case_independence(p, T=300):
     point mod p, and f_2|p = B * g_2|p with B = P_2/P_1 recovered by rational
     reconstruction of bounded height, by pade_ratio at order T and again by
     pade_kernel on the first 2h + 1 coefficients, h = (p - 1)/2 = height(B).
+    T defaults to max(300, p + 8) >= 2h + 8, so that B stays within reach
+    of pade_ratio's degree bound (T - 8)/2 at every prime.
     """
     result = CaseResult("independence", p)
     if p < 3:
         return _excluded(result, "the independence ingredients need an odd prime")
+    if T is None:
+        T = max(300, p + 8)
     result.orders["T"] = T
     Fp = GF(p)
     for r in (2, 3):

@@ -6,18 +6,16 @@ prime field packs coefficients into a single big integer (Kronecker
 substitution) so that products of the large polynomial powers showing up
 in certificate heights stay cheap.
 
-Irreducible factorization delegates to sympy; everything else (Euclid,
-division, resultants) is implemented here directly.
+Irreducible factorization splits off squarefree parts here and factors
+each one with the integer-list kernels of `factoring`; everything else
+(Euclid, division, resultants) is implemented here directly.
 """
 
 from fractions import Fraction
 from math import gcd as int_gcd
 
-import sympy
-
+from .factoring import factor_squarefree_mod_p, factor_squarefree_z
 from .fields import QQ, PrimeField
-
-_X = sympy.Symbol("z")
 
 # Kronecker packing costs about one conversion per operand coefficient,
 # schoolbook one field multiply per coefficient pair: pack once the pairs
@@ -303,36 +301,58 @@ class Poly:
         out = self.field.div(res, self.leading())
         return self.field.neg(out) if sign < 0 else out
 
-    # -- factorization (sympy bridge) ------------------------------------
+    # -- factorization ------------------------------------------------
 
     def factor(self):
-        """Irreducible factorization: (unit, [(monic irreducible Poly, mult), ...])."""
+        """Irreducible factorization: (unit, [(monic irreducible Poly, mult), ...]).
+
+        The factors are sorted by (degree, coeffs) and the unit is the
+        leading coefficient.
+        """
         if self.is_zero():
             return self.field.zero, []
         if self.degree() == 0:
             return self.coeffs[0], []
-        if self.field == QQ:
-            sp = sympy.Poly(
-                [sympy.Rational(c.numerator, c.denominator) for c in reversed(self.coeffs)],
-                _X,
-                domain="QQ",
-            )
-            _, factors = sp.factor_list()
-            out = []
-            for fac, mult in factors:
-                cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-                out.append((Poly(QQ, cs).monic(), mult))
-        else:
-            p = self.field.p
-            sp = sympy.Poly([int(c) for c in reversed(self.coeffs)], _X, modulus=p)
-            _, factors = sp.factor_list()
-            out = []
-            for fac, mult in factors:
-                cs = [int(c) % p for c in reversed(fac.all_coeffs())]
-                out.append((Poly(self.field, cs).monic(), mult))
+        out = []
+        for part, mult in self._squarefree():
+            if self.field == QQ:
+                _, prim = part.content_primitive()
+                factors = factor_squarefree_z([int(c) for c in prim.coeffs])
+            else:
+                factors = factor_squarefree_mod_p(list(part.coeffs), self.field.p)
+            out.extend((Poly(self.field, g).monic(), mult) for g in factors)
         out.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
-        unit = self.leading()
-        return unit, out
+        return self.leading(), out
+
+    def _squarefree(self):
+        """[(monic squarefree part, multiplicity), ...] of a nonconstant polynomial.
+
+        The parts are pairwise coprime and their powers multiply to the
+        monic form of self.  Over F_p a derivative can vanish on p-th
+        powers: what is left after Musser's gcd loop is a p-th power, whose
+        p-th root (a^p = a on coefficients) is decomposed in turn.
+        """
+        out = []
+        scale, f = 1, self.monic()
+        while f.degree() > 0:
+            df = f.derivative()
+            if df.is_zero():
+                c = f
+            else:
+                c = f.gcd(df)
+                w = f.exact_div(c)
+                i = 1
+                while w.degree() > 0:
+                    y = w.gcd(c)
+                    z = w.exact_div(y)
+                    if z.degree() > 0:
+                        out.append((z, i * scale))
+                    w, c, i = y, c.exact_div(y), i + 1
+            if c.degree() <= 0:
+                break
+            p = self.field.char
+            f, scale = Poly(self.field, c.coeffs[::p]), scale * p
+        return out
 
     # -- display --------------------------------------------------------
 

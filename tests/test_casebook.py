@@ -61,6 +61,13 @@ def test_case_independence():
     assert res.passed, [c for c in res.checks if not c[1]]
 
 
+def test_case_independence_order_grows_with_p():
+    # at T = 300, B = P_2/P_1 of height 146 was out of pade_ratio's reach at p = 293
+    res = run_case("independence", 293)
+    assert res.orders["T"] == 301
+    assert res.passed, [c for c in res.checks if not c[1]]
+
+
 @pytest.mark.parametrize("route", ["pade_ratio", "pade_kernel"])
 def test_independence_needs_both_reconstruction_routes(monkeypatch, route):
     # B = P_2/P_1 comes from two routes; a wrong pair from either one fails the check

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from math import comb
 
 import pytest
 
+import lucascert
 from lucascert import (
     certificate_from_json,
     default_catalog,
@@ -12,7 +17,7 @@ from lucascert import (
     verify_certificate,
 )
 from lucascert.certify import MAX_T
-from lucascert.cli import build_parser, main
+from lucascert.cli import MAX_EXPAND_T, build_parser, main
 
 
 @pytest.fixture()
@@ -41,6 +46,29 @@ def test_expand_unknown_series(capsys):
 
 def test_expand_rejects_tiny_T(capsys):
     assert main(["expand", "f2", "--T", "8"]) == 1
+
+
+def test_expand_over_budget_is_input_error(capsys):
+    # checked before anything is expanded: no MemoryError traceback, no wait
+    start = time.perf_counter()
+    assert main(["expand", "f2", "--T", "10000000"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "T = 10000000" in err and f"MAX_EXPAND_T = {MAX_EXPAND_T}" in err
+    assert "Traceback" not in err
+
+
+def test_expand_prints_coefficients_past_the_int_str_limit(tmp_path, capsys):
+    # C(2n,n)^8 passes CPython's default 4300-digit int -> str limit near n = 900
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([{"name": "b8", "kind": "binom_power", "r": 8}]))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["expand", "b8", "--T", "1000", "--catalog", str(path), "--format", "json"]) == 0
+    last, exact = json.loads(capsys.readouterr().out)[999], comb(1998, 999) ** 8
+    # compared without int <-> str, which the limit still guards outside expand
+    assert 10 ** (len(last) - 1) <= exact < 10 ** len(last) and len(last) > 4300
+    assert last[-40:] == str(exact % 10**40).zfill(40)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
 
 
 def test_opinfo_text(f2_op_path, capsys):
@@ -240,3 +268,30 @@ def test_opinfo_bound_over_budget_is_input_error(f2_op_path, capsys):
     assert main(["opinfo", f2_op_path, "--bound", "100000000"]) == 1
     err = capsys.readouterr().err
     assert "limit 10000000" in err and "(at --bound)" in err
+
+
+RUN_AND_LIST_IMPORTS = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from lucascert.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_runs_import_only_the_standard_library(tmp_path):
+    # every module the runs add to sys.modules (site's .pth imports come before) is stdlib or lucascert
+    apery = tmp_path / "apery.json"
+    apery.write_text(json.dumps(diffop_to_json(default_catalog()["apery"].operator)))
+    runs = [["certify", "f2", "-p", "3"], ["opinfo", str(apery)], ["casebook", "26", "--primes", "5"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lucascert.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_AND_LIST_IMPORTS, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    modules = json.loads(out)
+    assert "lucascert.cli" in modules and "sympy" not in modules
+    foreign = [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names | {"lucascert"}]
+    assert foreign == []

@@ -1,8 +1,14 @@
+import math
 import random
 from fractions import Fraction
 from math import comb
 
-from lucascert import GF, QQ, Poly
+import hypothesis
+import pytest
+from hypothesis import strategies as st
+
+from lucascert import GF, QQ, Poly, default_catalog
+from lucascert.diffop import to_d
 
 
 def to_poly(field, ints):
@@ -167,6 +173,100 @@ def test_factor_over_fp():
     for f, m in factors:
         prod = prod * f**m
     assert prod == a.monic()
+
+
+def sympy_factor(P):
+    """Oracle: sympy.factor_list in Poly.factor's form (unit, sorted monic factors)."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    if P.field == QQ:
+        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(P.coeffs)], z, domain="QQ")
+        to_coeffs = lambda fac: [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
+    else:
+        sp = sympy.Poly([int(c) for c in reversed(P.coeffs)], z, modulus=P.field.p)
+        to_coeffs = lambda fac: [int(c) for c in reversed(fac.all_coeffs())]
+    factors = [(Poly(P.field, to_coeffs(fac)).monic(), mult) for fac, mult in sp.factor_list()[1]]
+    return P.leading(), sorted(factors, key=lambda fm: (fm[0].degree(), fm[0].coeffs))
+
+
+def check_factor(P):
+    unit, factors = P.factor()
+    assert (unit, factors) == sympy_factor(P)
+    back = Poly.constant(P.field, unit)
+    for f, m in factors:
+        assert f == f.monic() and f.degree() >= 1
+        back = back * f**m
+    assert back == P
+
+
+def cyclotomic_pq(p, q):
+    """Phi_pq for distinct primes p, q: (z^pq - 1)(z - 1) / ((z^p - 1)(z^q - 1))."""
+    z_minus_1 = lambda n: Poly(QQ, [-1] + [0] * (n - 1) + [1])
+    return (z_minus_1(p * q) * z_minus_1(1)).exact_div(z_minus_1(p) * z_minus_1(q))
+
+
+def catalog_lcm_dens():
+    out = {}
+    for name, entry in default_catalog().items():
+        if entry.operator is not None:
+            lcm = Poly.one(QQ)
+            for a in to_d(entry.operator).monic_tail():
+                lcm = lcm.lcm(a.den)
+            out[name] = lcm
+    return out
+
+
+HARD_CASES = {
+    "x^4 - 10x^2 + 1": to_poly(QQ, [1, 0, -10, 0, 1]),  # irreducible, yet split mod every prime
+    "Phi_15": cyclotomic_pq(3, 5),
+    "Phi_21": cyclotomic_pq(3, 7),
+    "z(1 - 34z + z^2)^3": to_poly(QQ, [0, 1]) * to_poly(QQ, [1, -34, 1]) ** 3,
+    **{f"(z^2 + 1)^{p} over GF({p})": to_poly(GF(p), [1, 0, 1]) ** p for p in (2, 3, 5, 7, 101)},
+    "(z + 1)^6 (z^2 + z + 1)^4 over GF(2)": to_poly(GF(2), [1, 1]) ** 6 * to_poly(GF(2), [1, 1, 1]) ** 4,
+    "(z - 1)...(z - 10)": math.prod((to_poly(QQ, [-k, 1]) for k in range(1, 11)), start=Poly.one(QQ)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_CASES))
+def test_factor_hard_cases_match_sympy(name):
+    check_factor(HARD_CASES[name])
+
+
+def test_factor_hard_cases_shapes():
+    shape = lambda P: [(f.degree(), m) for f, m in P.factor()[1]]
+    assert shape(HARD_CASES["x^4 - 10x^2 + 1"]) == [(4, 1)]
+    assert shape(HARD_CASES["Phi_15"]) == [(8, 1)]
+    assert shape(HARD_CASES["Phi_21"]) == [(12, 1)]
+    assert shape(HARD_CASES["z(1 - 34z + z^2)^3"]) == [(1, 1), (2, 3)]
+    assert shape(HARD_CASES["(z^2 + 1)^3 over GF(3)"]) == [(2, 3)]
+    assert shape(HARD_CASES["(z^2 + 1)^5 over GF(5)"]) == [(1, 5), (1, 5)]
+
+
+@pytest.mark.parametrize("name", sorted(catalog_lcm_dens()))
+def test_factor_catalog_lcm_dens_match_sympy(name):
+    check_factor(catalog_lcm_dens()[name])
+
+
+@st.composite
+def factorable_polys(draw):
+    """Products of up to three random parts, each raised to a power <= 3, of degree <= 10."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(101)]))
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+    else:
+        coeff = st.integers(0, field.p - 1)
+    P = Poly.one(field)
+    for _ in range(draw(st.integers(1, 3))):
+        part = Poly(field, draw(st.lists(coeff, min_size=1, max_size=5)))
+        P = P * part ** draw(st.integers(1, 3))
+    hypothesis.assume(not P.is_zero() and P.degree() <= 10)
+    return P
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(P=factorable_polys())
+def test_factor_matches_sympy(P):
+    check_factor(P)
 
 
 def test_content_primitive():
