@@ -215,27 +215,29 @@ def case_independence(p, T=None):
     reconstruction of bounded height, by pade_ratio at order T and again by
     pade_kernel on the first 2h + 1 coefficients, h = (p - 1)/2 = height(B).
     T defaults to max(300, p + 8) >= 2h + 8, so that B stays within reach
-    of pade_ratio's degree bound (T - 8)/2 at every prime.
+    of pade_ratio's degree bound (T - 8)/2 at every prime; a given T must
+    exceed p.  Each series is expanded once, to order T.
     """
     result = CaseResult("independence", p)
     if p < 3:
         return _excluded(result, "the independence ingredients need an odd prime")
     if T is None:
         T = max(300, p + 8)
+    if T <= p:
+        raise ValueError(f"T = {T} must exceed p = {p}, which B's reconstruction needs")
     result.orders["T"] = T
-    Fp = GF(p)
     for r in (2, 3):
-        fr = lookup(f"f{r}")
-        gr = lookup(f"g{r}")
-        fr_p = reduce_series_mod_p(series_over_q(fr, T), p)
-        gr_p = reduce_series_mod_p(series_over_q(gr, T), p)
+        fr_q = series_over_q(lookup(f"f{r}"), T)
+        fr_p = reduce_series_mod_p(fr_q, p)
+        gr_p = reduce_series_mod_p(series_over_q(lookup(f"g{r}"), T), p)
+        if r == 2:
+            f2_p, g2_p = fr_p, gr_p
         lam1 = fr_p.cartier(p, 0)
-        lam2 = fr_p.cartier(p, 0).cartier(p, 0)
+        lam2 = lam1.cartier(p, 0)
         ok1 = lam1.eq_to_order(gr_p, len(lam1))
         ok2 = lam2.eq_to_order(gr_p, len(lam2))
         result.add(f"Lambda(f_{r}) = g_{r} = Lambda^2(f_{r}) mod {p}", ok1 and ok2)
         Lr = hypergeometric_fr_operator(r)
-        fr_q = TruncSeries(QQ, gen_terms(fr, T))
         result.add(f"L_{r}(f_{r}) = 0", Lr.apply(fr_q).is_zero())
         result.add(
             f"L_{r} MOM",
@@ -245,20 +247,18 @@ def case_independence(p, T=None):
     lam_t = t_p.cartier(p, 0)
     result.add("Lambda(t) = t mod p", lam_t.eq_to_order(t_p, len(lam_t)))
 
-    f2_p = reduce_series_mod_p(series_over_q(lookup("f2"), T), p)
-    g2_p = reduce_series_mod_p(series_over_q(lookup("g2"), T), p)
     bound = 2 * 2 * 2 * 2 * p  # 2C p with C = 2nr = 8
     B = _reconstruct_ratio(pade_ratio, f2_p, g2_p, min(bound, (T - 8) // 2))
     h = (p - 1) // 2
-    tight = 2 * h + 1  # beyond T, B of height h is out of pade_ratio's reach as well
-    B_kernel = (_reconstruct_ratio(pade_kernel, f2_p.truncate(tight), g2_p.truncate(tight), h)
-                if tight <= T else None)
+    tight = 2 * h + 1  # = p < T
+    B_kernel = _reconstruct_ratio(pade_kernel, f2_p.truncate(tight), g2_p.truncate(tight), h)
     ok = B is not None and B.height <= bound and B_kernel == B
     if ok:
         lhs = f2_p.mul_poly(B.den)
         rhs = g2_p.mul_poly(B.num)
         ok = lhs.eq_to_order(rhs, T)
-    P1, P2 = truncation_poly(lookup("f1"), p), truncation_poly(lookup("f2"), p)
+    # the p-truncations P_1 of f_1 = g_2 and P_2 of f_2 are prefixes, as T > p
+    P1, P2 = g2_p.truncate(p).poly(), f2_p.truncate(p).poly()
     expected = RatFun(P2, P1)
     result.add(
         "f_2 = B g_2 with height(B) bounded",

@@ -19,7 +19,6 @@ reduces the Q expansion of the others; the Q route is the digit routes'
 test oracle and the one `p_lucas_check` keeps.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -50,27 +49,15 @@ class SeqGen:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
 
-_TERM_CACHE = {}
-
-
 def gen_terms(g, T):
-    """First T exact coefficients of the generator, as Fractions."""
+    """First T exact coefficients of the generator, as Fractions.
+
+    Every call expands afresh; nothing is cached between calls, so a caller
+    that needs a series twice keeps it.
+    """
     if T < 1:
         raise ValueError("T must be >= 1")
-    key = _cache_key(g)
-    cached = _TERM_CACHE.get(key)
-    if cached is not None and len(cached) >= T:
-        return cached[:T]
-    terms = _generate(g, T)
-    _TERM_CACHE[key] = terms
-    return terms[:T]
-
-
-def _cache_key(g):
-    # closed forms are determined by (kind, r); operator entries by content
-    if g.kind == "operator":
-        return (g.kind, json.dumps(diffop_to_json(g.operator)), g.initial)
-    return (g.kind, g.r)
+    return _generate(g, T)
 
 
 def _generate(g, T):
@@ -308,7 +295,7 @@ def catalog_to_json(catalog):
         if entry.kind in ("binom_power", "f_r"):
             item["r"] = entry.r
         if entry.operator is not None:
-                item["operator"] = diffop_to_json(entry.operator)
+            item["operator"] = diffop_to_json(entry.operator)
         if entry.kind == "operator":
             item["initial"] = [str(v) for v in entry.initial]
         out.append(item)

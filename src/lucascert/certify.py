@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .catalog import series_mod_p
-from .diffop import _bad_integers, companion, is_mom, recurrence_from, singularities, to_delta
+from .diffop import companion, is_mom, recurrence_from, singularities, to_delta
 from .errors import (
     BadPrime,
     BudgetExceeded,
@@ -432,7 +432,7 @@ def orbit_detect(f_p, p, max_steps=6, min_length=32):
 # -- full assembly -------------------------------------------------------------------
 
 
-def assemble_certificate(seqgen, p, T=None, max_steps=6, min_length=32):
+def assemble_certificate(seqgen, p, T=None):
     """End-to-end certificate f|_p(z) = A_p(z) f|_p(z^(p^l)) for a catalog entry.
 
     Requires the entry's operator to be MOM at zero and p to be one of its
@@ -441,19 +441,23 @@ def assemble_certificate(seqgen, p, T=None, max_steps=6, min_length=32):
     bound 2C p^(2l) with C = 2nr, or collapses to A_{0,l} with the L-type
     bound C p^l when the orbit has no preperiod.  No expansion, probe or
     final, goes past MAX_T terms: BudgetExceeded names the T needed instead.
+    When the final T equals the probe's length, the probe's expansion and
+    orbit are the final ones.
     """
     L = seqgen.operator
     if L is None:
         raise BadPrime(f"series {seqgen.name!r} has no operator in the catalog")
     if not is_mom(L):
         raise BadPrime(f"operator of {seqgen.name!r} is not MOM at zero")
-    if not (is_prime(p) and all(v % p for v in _bad_integers(L))):
+    report = singularities(L)
+    if not (is_prime(p) and all(v % p for v in report.bad_integers)):
         raise BadPrime(f"{p} is not a good prime for {seqgen.name!r}")
     n = L.order
-    r = singularities(L).count_r
+    r = report.count_r
     span = recurrence_from(L).span
     C = 2 * n * r
 
+    probe = None
     if T is None:
         # probe until the orbit is visible (iterate lengths shrink by p per
         # step), then size T from the certified height bound
@@ -462,7 +466,7 @@ def assemble_certificate(seqgen, p, T=None, max_steps=6, min_length=32):
             _check_budget(probe)
             f_p = series_mod_p(seqgen, p, probe)
             try:
-                orbit = orbit_detect(f_p, p, max_steps=max_steps, min_length=min_length)
+                orbit = orbit_detect(f_p, p)
                 break
             except NoCycleFound:
                 if attempt == 4:
@@ -473,9 +477,10 @@ def assemble_certificate(seqgen, p, T=None, max_steps=6, min_length=32):
         else:
             bound_guess = 2 * C * p ** (2 * orbit.level)
         T = max(2 * bound_guess + 16, 512, probe)
-    _check_budget(T)
-    f_p = series_mod_p(seqgen, p, T)
-    orbit = orbit_detect(f_p, p, max_steps=max_steps, min_length=min_length)
+    if T != probe:
+        _check_budget(T)
+        f_p = series_mod_p(seqgen, p, T)
+        orbit = orbit_detect(f_p, p)
     level = orbit.level
 
     A0l = iterate_certificates(f_p, 0, level, p, n, r, span=span)

@@ -51,6 +51,9 @@ MAX_BOUND = 10**7  # good-prime budget: a 10 MB sieve and 664579 primes
 # expand budget, in terms: at this order f2, apery and f3 print in 2-4 s and 80-115 MB
 # (2 cores, CPython 3.11.7); at 20000, f2 alone takes 85 s and 1 GB
 MAX_EXPAND_T = 5000
+# budget of the sum kinds cy210 and cy26, whose terms are O(j) big-binomial sums, so their
+# cost grows about as T^3.6: 400 terms print in about 2 s (same host), 5000 would take hours
+MAX_SUM_EXPAND_T = 400
 
 
 def _parse_primes(text, allow_two):
@@ -89,6 +92,9 @@ def cmd_expand(args):
     if args.T > MAX_EXPAND_T:
         raise BudgetExceeded(f"expand needs T = {args.T} series terms, above the budget MAX_EXPAND_T = {MAX_EXPAND_T}")
     entry = lookup(args.series, _load_cat(args))
+    if entry.kind in ("cy210", "cy26") and args.T > MAX_SUM_EXPAND_T:
+        raise BudgetExceeded(f"expand needs T = {args.T} terms of the sum series {args.series!r}, "
+                             f"above the budget MAX_SUM_EXPAND_T = {MAX_SUM_EXPAND_T}")
     terms = gen_terms(entry, args.T)
     # CPython 3.11+ refuses int -> str past 4300 digits by default; f2 passes it near n = 3600,
     # and the budget above is what bounds the work instead

@@ -9,11 +9,13 @@ coefficients are reduced rational functions, stored by decreasing
 derivative order with an explicit (not necessarily monic) leading term.
 
 The module covers the local anatomy of an operator: basis conversion via
-falling factorials / Stirling numbers, the singular locus as exact
-irreducible factors, Fuchs regularity, indicial polynomial and exponents
-at zero, the z -> 1/z transform, reduction mod p, p-curvature, the set of
-good primes of a Fuchsian operator, and the coefficient recurrence of a
-MOM-at-zero operator.
+falling factorials / Stirling numbers, indicial polynomial and exponents
+at zero, the z -> 1/z transform, reduction mod p, p-curvature, and the
+coefficient recurrence of a MOM-at-zero operator.  `singularities` is the
+one analysis of the singular locus: exact irreducible factors, Fuchs
+regularity and, over Q, the integers whose prime divisors are the bad
+primes.  It factors once per operator and keeps its report on the
+operator, so MOM tests, good primes and certificates share it.
 """
 
 import json
@@ -36,7 +38,7 @@ DELTA_BASIS = "delta"
 class DiffOp:
     """Differential operator; coeffs[0] is the leading (order-n) coefficient."""
 
-    __slots__ = ("field", "basis", "coeffs")
+    __slots__ = ("field", "basis", "coeffs", "_singularities")
 
     def __init__(self, field, basis, coeffs):
         if basis not in (D_BASIS, DELTA_BASIS):
@@ -51,6 +53,7 @@ class DiffOp:
         self.field = field
         self.basis = basis
         self.coeffs = coeffs
+        self._singularities = None  # filled in by the first singularities(self)
 
     @property
     def order(self):
@@ -211,18 +214,26 @@ class SingularityReport:
     infinity: one of "regular", "irregular", "nonsingular".
     count_r: number of distinct finite singular points in the algebraic
     closure = sum of the factor degrees.
+    bad_integers: over Q, nonzero integers such that a prime is bad for the
+    operator exactly when it divides one of them; None over F_p.
     """
 
     finite_points: tuple
     infinity: str
     count_r: int
+    bad_integers: tuple
 
     def is_fuchsian(self):
         return self.infinity != "irregular" and all(reg for _, reg in self.finite_points)
 
 
 def singularities(L):
-    """Exact singularity analysis of the monic normalization of L."""
+    """Exact singularity analysis of the monic normalization of L.
+
+    Computed on the first call and kept on L, which is immutable.
+    """
+    if L._singularities is not None:
+        return L._singularities
     Ld = to_d(L)
     tail = Ld.monic_tail()
     field = Ld.field
@@ -245,7 +256,40 @@ def singularities(L):
         count_r += fac.degree()
 
     infinity = _infinity_tag(Ld, tail)
-    return SingularityReport(tuple(finite), infinity, count_r)
+    bad = _good_prime_obstructions(tail, finite) if field == QQ else None
+    L._singularities = SingularityReport(tuple(finite), infinity, count_r, bad)
+    return L._singularities
+
+
+def _good_prime_obstructions(tail, finite):
+    """The bad integers of a Q-operator from its monic tail and singular factors.
+
+    A prime is bad when it divides (i) a denominator of the Gauss-norm
+    normalization of a monic coefficient, (ii) the constant or leading
+    coefficient of a primitive singular factor with nonzero roots, so that
+    the singular points are p-adic units, or (iii) the numerator or
+    denominator of the product of the squared pairwise differences of all
+    finite singular points: disc(S) / lc(S)^(2 deg S - 2) for the product S
+    of the primitive singular factors.
+    """
+    bad = []
+    for a in tail:
+        if not a.is_zero():
+            _, den_prim = a.den.content_primitive()
+            lam = den_prim.leading() / a.den.leading()
+            bad += [c.denominator for c in a.num.scale(lam).coeffs]
+
+    S = Poly.one(QQ)
+    for fac, _ in finite:
+        _, prim = fac.content_primitive()
+        S = S * prim
+        if prim[0]:  # a factor with nonzero roots
+            bad += [int(prim[0]), int(prim.leading())]
+
+    pairwise = S.discriminant() / S.leading() ** (2 * S.degree() - 2)
+    bad += [pairwise.numerator, pairwise.denominator]
+    # primes are tested against these by division; 0 marks nothing
+    return tuple(v for v in bad if v)
 
 
 def _multiplicity(den, fac):
@@ -424,8 +468,10 @@ def p_curvature(Lp):
 
     With A_1 = B_1/D from `companion`, A_k = B_k/D^k where
     B_(k+1) = D*B_k' - k*D'*B_k + B_k*B_1: polynomial matrices, no gcd per
-    step.  Returns (A_p, is_nilpotent), nilpotency tested as B_p^n = 0.
-    Delta-basis input is converted to d/dz first.
+    step.  Returns ((D^p, B_p), is_nilpotent): A_p = B_p/D^p in the
+    (den, polynomial matrix) shape of `companion`, unreduced, and
+    nilpotency tested as B_p^n = 0.  Delta-basis input is converted to d/dz
+    first.
     """
     field = Lp.field
     if not isinstance(field, PrimeField):
@@ -439,8 +485,7 @@ def p_curvature(Lp):
     for _ in range(len(B) - 1):
         power = mat_mul(power, B)
     nilpotent = all(entry.is_zero() for row in power for entry in row)
-    Dp = D**field.p
-    return [[RatFun(b, Dp) for b in row] for row in B], nilpotent
+    return (D**field.p, B), nilpotent
 
 
 # -- good primes ------------------------------------------------------------------
@@ -449,54 +494,12 @@ def p_curvature(Lp):
 def good_primes(L, bound):
     """Primes <= bound where reduction keeps the full singular geometry.
 
-    Excludes primes dividing (i) any denominator appearing in the Gauss-norm
-    normalization of the monic coefficients, (ii) the constant or leading
-    coefficient of a finite singular factor with nonzero roots (so that the
-    singular points are p-adic units), (iii) the numerator or denominator of
-    the product of all pairwise differences of the finite singular points,
-    realized through discriminants and resultants of the singular factors.
+    A prime is good when it divides none of `singularities(L).bad_integers`.
     """
-    bad = _bad_integers(L)
-    return [p for p in primes_upto(bound) if all(v % p for v in bad)]
-
-
-def _bad_integers(L):
-    """Nonzero integers such that a prime is bad for L exactly when it divides one."""
     if L.field != QQ:
         raise TypeError("good primes are defined for operators over Q")
-    Ld = to_d(L)
-    bad = []  # integers whose prime divisors are bad primes
-
-    for a in Ld.monic_tail():
-        if a.is_zero():
-            continue
-        _, den_prim = a.den.content_primitive()
-        lam = den_prim.leading() / a.den.leading() if a.den.leading() != 0 else Fraction(1)
-        bad += [c.denominator for c in a.num.scale(lam).coeffs]
-
-    report = singularities(Ld)
-    prim_factors = []
-    for fac, _ in report.finite_points:
-        _, prim = fac.content_primitive()
-        prim_factors.append(prim)
-        if not QQ.is_zero(prim.eval(Fraction(0))):  # factor with nonzero roots
-            bad += [int(prim.eval(Fraction(0))), int(prim.leading())]
-
-    pairwise = Fraction(1)
-    for i, F in enumerate(prim_factors):
-        dF = F.degree()
-        if dF >= 2:
-            pairwise *= F.discriminant() / F.leading() ** (2 * dF - 2)
-        for G in prim_factors[i + 1 :]:
-            res = F.resultant(G)
-            pairwise *= Fraction(res) ** 2 / (
-                F.leading() ** (2 * G.degree()) * G.leading() ** (2 * dF)
-            )
-    if pairwise != 0:
-        bad += [pairwise.numerator, pairwise.denominator]
-
-    # primes are tested against these by division; 0 marks nothing
-    return [v for v in bad if v]
+    bad = singularities(L).bad_integers
+    return [p for p in primes_upto(bound) if all(v % p for v in bad)]
 
 
 # -- recurrence extraction ----------------------------------------------------------

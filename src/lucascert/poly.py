@@ -8,7 +8,8 @@ in certificate heights stay cheap.
 
 Irreducible factorization splits off squarefree parts here and factors
 each one with the integer-list kernels of `factoring`; everything else
-(Euclid, division, resultants) is implemented here directly.
+is implemented here directly: division, and the Euclidean remainder
+sequence behind gcd, resultant and discriminant.
 """
 
 from fractions import Fraction
@@ -26,12 +27,11 @@ _KRONECKER_CUTOFF = 2
 class Poly:
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field, coeffs=(), normalize=True):
+    def __init__(self, field, coeffs=()):
         self.field = field
         cs = [field.coerce(c) for c in coeffs]
-        if normalize:
-            while cs and field.is_zero(cs[-1]):
-                cs.pop()
+        while cs and field.is_zero(cs[-1]):
+            cs.pop()
         self.coeffs = tuple(cs)
 
     # -- constructors -------------------------------------------------
@@ -110,7 +110,7 @@ class Poly:
 
     def __neg__(self):
         f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs], normalize=False)
+        return Poly(f, [f.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -125,13 +125,13 @@ class Poly:
         c = f.coerce(c)
         if f.is_zero(c):
             return Poly.zero(f)
-        return Poly(f, [f.mul(c, a) for a in self.coeffs], normalize=False)
+        return Poly(f, [f.mul(c, a) for a in self.coeffs])
 
     def shift(self, k):
         """Multiply by z^k."""
         if self.is_zero():
             return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs, normalize=False)
+        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
 
     def __pow__(self, e):
         if e < 0:
@@ -205,7 +205,7 @@ class Poly:
         out = [f.zero] * ((len(self.coeffs) - 1) * k + 1)
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
-        return Poly(f, out, normalize=False)
+        return Poly(f, out)
 
     def reverse(self):
         """Coefficient reversal z^deg * p(1/z); drops any root at 0."""
@@ -232,7 +232,7 @@ class Poly:
             g = int_gcd(g, abs(v))
         if ints[-1] < 0:
             g = -g
-        prim = Poly(QQ, [Fraction(v // g) for v in ints], normalize=False)
+        prim = Poly(QQ, [Fraction(v // g) for v in ints])
         return Fraction(g, den_lcm), prim
 
     # -- gcd, resultant -------------------------------------------------
@@ -271,25 +271,24 @@ class Poly:
         return (self * other).exact_div(g).monic()
 
     def resultant(self, other):
-        """Res(self, other) via the Sylvester determinant (exact field arithmetic)."""
+        """Res(self, other) by the Euclidean remainder sequence; 0 when either is zero.
+
+        With r = a mod b, Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r),
+        and Res(a, c) = c^(deg a) for a nonzero constant c (von zur Gathen and
+        Gerhard, Modern Computer Algebra, ch. 6).
+        """
         self._check(other)
-        m, n = self.degree(), other.degree()
-        if m < 0 or n < 0:
-            return self.field.zero
-        if m == 0:
-            return _field_pow(self.field, self.coeffs[0], n)
-        if n == 0:
-            return _field_pow(self.field, other.coeffs[0], m)
         f = self.field
-        size = m + n
-        rows = []
-        ac = list(reversed(self.coeffs))
-        bc = list(reversed(other.coeffs))
-        for i in range(n):
-            rows.append([f.zero] * i + ac + [f.zero] * (size - i - m - 1))
-        for i in range(m):
-            rows.append([f.zero] * i + bc + [f.zero] * (size - i - n - 1))
-        return _det(f, rows)
+        a, b, out = self, other, f.one
+        while b.degree() > 0:
+            r = a % b
+            sign = -1 if a.degree() * b.degree() % 2 else 1
+            e = a.degree() - r.degree()
+            out = f.mul(out, f.coerce(sign * b.leading() ** e))
+            a, b = b, r
+        if a.is_zero() or b.is_zero():
+            return f.zero
+        return f.mul(out, f.coerce(b.leading() ** a.degree()))
 
     def discriminant(self):
         """disc = (-1)^(d(d-1)/2) Res(p, p') / lc(p); 1 for degree <= 1."""
@@ -377,43 +376,6 @@ def format_poly(p, var="z"):
         else:
             parts.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
     return " + ".join(parts)
-
-
-def _field_pow(field, a, e):
-    out = field.one
-    for _ in range(e):
-        out = field.mul(out, a)
-    return out
-
-
-def _det(field, rows):
-    """Determinant by fraction-free-ish Gaussian elimination over a field."""
-    n = len(rows)
-    det = field.one
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not field.is_zero(rows[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            return field.zero
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = field.neg(det)
-        pv = rows[col][col]
-        det = field.mul(det, pv)
-        inv = field.inv(pv)
-        for r in range(col + 1, n):
-            factor = rows[r][col]
-            if field.is_zero(factor):
-                continue
-            factor = field.mul(factor, inv)
-            rows[r] = [
-                field.sub(rc, field.mul(factor, cc))
-                for rc, cc in zip(rows[r], rows[col])
-            ]
-    return det
 
 
 def convolve(field, a, b, n):

@@ -17,7 +17,7 @@ from lucascert import (
     verify_certificate,
 )
 from lucascert.certify import MAX_T
-from lucascert.cli import MAX_EXPAND_T, build_parser, main
+from lucascert.cli import MAX_EXPAND_T, MAX_SUM_EXPAND_T, build_parser, main
 
 
 @pytest.fixture()
@@ -56,6 +56,18 @@ def test_expand_over_budget_is_input_error(capsys):
     err = capsys.readouterr().err
     assert "T = 10000000" in err and f"MAX_EXPAND_T = {MAX_EXPAND_T}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("series", ["cy210", "cy26"])
+def test_expand_sum_series_over_their_budget_is_input_error(series, capsys):
+    # each term is a fresh O(j) big-binomial sum: 5000 terms would run for hours
+    start = time.perf_counter()
+    assert main(["expand", series, "--T", "5000"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert repr(series) in err and "T = 5000" in err and f"MAX_SUM_EXPAND_T = {MAX_SUM_EXPAND_T}" in err
+    assert "Traceback" not in err
+    assert main(["expand", series, "--T", "64"]) == 0
 
 
 def test_expand_prints_coefficients_past_the_int_str_limit(tmp_path, capsys):

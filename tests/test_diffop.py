@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -14,6 +16,7 @@ from lucascert import (
     NotMomAtZero,
     Poly,
     RatFun,
+    assemble_certificate,
     cleared,
     companion,
     default_catalog,
@@ -35,6 +38,7 @@ from lucascert import (
     to_d,
     to_delta,
 )
+from lucascert.cli import main as cli_main
 from lucascert.linalg import mat_add, mat_mul
 
 CAT = default_catalog()
@@ -277,8 +281,8 @@ def test_reduce_bad_prime_on_killed_leading():
 def test_p_curvature_trivial():
     F5 = GF(5)
     L = diffop_from_polys(F5, "d", [[], [1]])  # d/dz
-    M, nil = p_curvature(L)
-    assert nil and M[0][0].is_zero()
+    (_, B), nil = p_curvature(L)
+    assert nil and B[0][0].is_zero()
 
 
 def test_p_curvature_2f1_mod_3_nilpotent():
@@ -291,9 +295,9 @@ def test_p_curvature_exponential_not_nilpotent():
     F5 = GF(5)
     for c in range(1, 5):
         L = diffop_from_polys(F5, "d", [[-c], [1]])
-        M, nil = p_curvature(L)
+        (den, B), nil = p_curvature(L)
         assert not nil
-        assert M[0][0] == RatFun.constant(F5, pow(c, 5, 5))
+        assert RatFun(B[0][0], den) == RatFun.constant(F5, pow(c, 5, 5))
 
 
 def test_p_curvature_euler_operator_is_nilpotent():
@@ -341,9 +345,9 @@ def test_p_curvature_matches_ratfun_oracle(name):
     L = OPS[name]
     for p in good_primes(L, 13):
         Lp = reduce_op_mod_p(L, p)
-        A, nil = p_curvature(Lp)
+        (den, B), nil = p_curvature(Lp)
         assert nil, (name, p)
-        assert A == _p_curvature_oracle(Lp), (name, p)
+        assert [[RatFun(b, den) for b in row] for row in B] == _p_curvature_oracle(Lp), (name, p)
 
 
 @pytest.mark.parametrize("basis", ["d", "delta"])
@@ -398,6 +402,84 @@ def test_good_primes_subset_of_reducible():
             Lp = reduce_op_mod_p(L, p)  # must not raise
             assert Lp.order == L.order
             assert singularities(Lp).count_r <= r
+
+
+def _bad_integers_oracle(L):
+    """The bad integers as first written: a discriminant per factor, a resultant per pair."""
+    bad = []
+    for a in to_d(L).monic_tail():
+        if not a.is_zero():
+            _, den_prim = a.den.content_primitive()
+            lam = den_prim.leading() / a.den.leading()
+            bad += [c.denominator for c in a.num.scale(lam).coeffs]
+    prim_factors = []
+    for fac, _ in singularities(L).finite_points:
+        _, prim = fac.content_primitive()
+        prim_factors.append(prim)
+        if prim[0]:
+            bad += [int(prim[0]), int(prim.leading())]
+    pairwise = Fraction(1)
+    for i, F in enumerate(prim_factors):
+        dF = F.degree()
+        if dF >= 2:
+            pairwise *= F.discriminant() / F.leading() ** (2 * dF - 2)
+        for G in prim_factors[i + 1 :]:
+            lcs = F.leading() ** (2 * G.degree()) * G.leading() ** (2 * dF)
+            pairwise *= Fraction(F.resultant(G)) ** 2 / lcs
+    bad += [pairwise.numerator, pairwise.denominator]
+    return tuple(v for v in bad if v)
+
+
+def test_bad_integers_single_discriminant_matches_pairwise_oracle():
+    # leading coefficient: a product of 1-4 random primitive factors of degree 1-3
+    rng = random.Random(11)
+    sizes = set()
+    for _ in range(40):
+        lead = Poly.one(QQ)
+        for _ in range(rng.randint(1, 4)):
+            cs = [rng.randint(-12, 12) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 12)]
+            lead = lead * Poly(QQ, [Fraction(c) for c in cs]).content_primitive()[1]
+        tail = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(2)] for _ in range(2)]
+        L = diffop_from_polys(QQ, "d", tail + [lead.coeffs])
+        report = singularities(L)
+        assert report.bad_integers == _bad_integers_oracle(L), L
+        sizes.add(len(report.finite_points))
+    assert sizes >= {1, 2, 3, 4}
+
+
+def test_bad_integers_only_over_q():
+    assert singularities(reduce_op_mod_p(L_APERY, 5)).bad_integers is None
+    with pytest.raises(TypeError):
+        good_primes(reduce_op_mod_p(L_APERY, 5), 20)
+
+
+def _count_factor_calls(monkeypatch):
+    calls = []
+    factor = Poly.factor
+
+    def counting(self):
+        calls.append(self)
+        return factor(self)
+
+    monkeypatch.setattr(Poly, "factor", counting)
+    return calls
+
+
+def test_opinfo_factors_the_singular_locus_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "apery.json"
+    path.write_text(json.dumps(diffop_to_json(L_APERY)))
+    calls = _count_factor_calls(monkeypatch)
+    assert cli_main(["opinfo", str(path), "--format", "json"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["good_primes"] == [5, 7, 11, 13, 17, 19]
+
+
+def test_certificate_factors_the_singular_locus_once(monkeypatch):
+    # a fresh operator, so no report is kept on it yet
+    entry = dataclasses.replace(CAT["apery"], operator=diffop_from_json(diffop_to_json(L_APERY)))
+    calls = _count_factor_calls(monkeypatch)
+    assemble_certificate(entry, 37)
+    assert len(calls) == 1
 
 
 # -- cleared form ----------------------------------------------------------------------

@@ -151,6 +151,56 @@ def test_resultant_matches_recursion_and_sympy_abs():
     assert checked > 20
 
 
+def sylvester_resultant(a, b):
+    """Oracle: Res(a, b) as the determinant of the Sylvester matrix, by Gaussian elimination."""
+    f, m, n = a.field, a.degree(), b.degree()
+    if m < 0 or n < 0:
+        return f.zero
+    if m == 0 or n == 0:  # the matrix is diagonal: the constant's diagonal
+        return f.coerce(a.coeffs[0] ** n if m == 0 else b.coeffs[0] ** m)
+    size = m + n
+    ac, bc = list(reversed(a.coeffs)), list(reversed(b.coeffs))
+    rows = [[f.zero] * i + ac + [f.zero] * (size - i - m - 1) for i in range(n)]
+    rows += [[f.zero] * i + bc + [f.zero] * (size - i - n - 1) for i in range(m)]
+    det = f.one
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if not f.is_zero(rows[r][col])), None)
+        if pivot is None:
+            return f.zero
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = f.neg(det)
+        det = f.mul(det, rows[col][col])
+        inv = f.inv(rows[col][col])
+        for r in range(col + 1, size):
+            factor = f.mul(rows[r][col], inv)
+            rows[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(101)], ids=repr)
+def test_resultant_matches_sylvester_determinant(field):
+    # degrees 0..6 with zero and constant operands; small fields make common roots frequent
+    rng = random.Random(7 + getattr(field, "p", 0))
+    zero_seen = constant_seen = common_root_seen = False
+    for _ in range(400):
+        a = rand_poly(rng, field, 6) if rng.random() < 0.9 else Poly.zero(field)
+        b = rand_poly(rng, field, 6) if rng.random() < 0.9 else Poly.zero(field)
+        want = sylvester_resultant(a, b)
+        assert a.resultant(b) == want, (a, b)
+        zero_seen |= a.is_zero() or b.is_zero()
+        constant_seen |= 0 in (a.degree(), b.degree())
+        common_root_seen |= min(a.degree(), b.degree()) > 0 and field.is_zero(want)
+    assert zero_seen and constant_seen and common_root_seen
+
+
+def test_resultant_of_constants():
+    c, z2 = Poly.constant(QQ, Fraction(3)), to_poly(QQ, [1, 0, 1])
+    assert c.resultant(z2) == z2.resultant(c) == 9
+    assert c.resultant(Poly.constant(QQ, Fraction(5))) == 1
+    assert c.resultant(Poly.zero(QQ)) == Poly.zero(QQ).resultant(c) == 0
+
+
 def test_discriminant_known_value():
     # z^2 - 34z + 1 has discriminant 34^2 - 4 = 1152
     a = to_poly(QQ, [1, -34, 1])
