@@ -118,11 +118,6 @@ def case_apery_lucas(p, M=500):
     return result
 
 
-def truncation_poly(g, p):
-    """The p-truncation of a catalog series mod p, as a polynomial over F_p."""
-    return reduce_series_mod_p(series_over_q(g, p), p).poly()
-
-
 def case_2f1(p, kmax=2, T=500, power_cap=400):
     """The full 2F1(-1/2,1/2;1;16z) study: truncations P_1, P_2 and heights.
 
@@ -139,23 +134,28 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
       height-B_k: height of reduced B_k = P_1^(p+...+p^(k+1)) / P_2^(p^(k+1)-1)
                   equals (p/2)(p^(k+1)-1), and f_2|p = B_k * f_2|p(z^(p^(k+1)))
                   (k limited so p^(k+1) <= power_cap)
+
+    P_1 and P_2 are the first p terms of f_1|p and f_2|p, so p < T is needed;
+    a larger p is excluded.
     """
     result = CaseResult("2f1", p)
     if p < 3:
         return _excluded(result, "the truncations have degree (p-1)/2, for an odd prime")
+    if p >= T:
+        return _excluded(result, f"the split checks to order T = {T} need p < T")
     result.orders["T"] = T
     Fp = GF(p)
-    f1_gen, f2_gen = lookup("f1"), lookup("f2")
-
-    f1_q = TruncSeries(QQ, gen_terms(f1_gen, T))
-    f2_q = TruncSeries(QQ, gen_terms(f2_gen, T))
+    f1_q = TruncSeries(QQ, gen_terms(lookup("f1"), T))
+    f2_q = TruncSeries(QQ, gen_terms(lookup("f2"), T))
     one_m_16z = Poly(QQ, [1, -16])
     rhs_f2 = (f1_q + f1_q.delta().scale(2)).mul_poly(one_m_16z)
     result.add("f2-from-f1", f2_q.eq_to_order(rhs_f2, T))
     result.add("f1-from-f2", f1_q.eq_to_order(f2_q - f2_q.delta().scale(2), T))
 
-    P1 = truncation_poly(f1_gen, p)
-    P2 = truncation_poly(f2_gen, p)
+    f1_p = reduce_series_mod_p(f1_q, p)
+    f2_p = reduce_series_mod_p(f2_q, p)
+    P1 = f1_p.truncate(p).poly()
+    P2 = f2_p.truncate(p).poly()
     half = (p - 1) // 2
     result.add("deg-P", P1.degree() == half and P2.degree() == half,
                f"deg P_1 = {P1.degree()}, deg P_2 = {P2.degree()}")
@@ -165,8 +165,6 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
     trunc_link = one_m_16z_p * (P1 + delta_P1.scale(2))
     result.add("trunc-link", trunc_link == P2)
 
-    f1_p = reduce_series_mod_p(f1_q, p)
-    f2_p = reduce_series_mod_p(f2_q, p)
     rhs_split = f1_p.compose_power(p, 1, out_len=T).mul_poly(P2)
     result.add("split-f1", f2_p.eq_to_order(rhs_split, T))
 

@@ -138,7 +138,7 @@ def split_pade(f_p, d, p, normalize=True):
     s0 = sections[0]
     if len(s0) < 2 * d:
         raise ReconstructionFailed(
-            f"need at least {2 * d * p} series coefficients for span {d}"
+            f"need at least {(2 * d - 1) * p + 1} series coefficients for span {d}"
         )
     ratios = []
     for r in range(1, p):

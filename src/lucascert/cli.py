@@ -54,6 +54,9 @@ MAX_EXPAND_T = 5000
 # budget of the sum kinds cy210 and cy26, whose terms are O(j) big-binomial sums, so their
 # cost grows about as T^3.6: 400 terms print in about 2 s (same host), 5000 would take hours
 MAX_SUM_EXPAND_T = 400
+# opinfo p-curvature budget, in p: on apery it takes about 3 s at p = 211 and grows about as
+# p^2.3 (same host), so p = 401 takes 12 s and p = 1009 over a minute
+MAX_CURVATURE_P = 211
 
 
 def _parse_primes(text, allow_two):
@@ -113,6 +116,10 @@ def cmd_expand(args):
 def cmd_opinfo(args):
     if args.bound > MAX_BOUND:
         raise ParseError(f"good-prime bound {args.bound} exceeds the limit {MAX_BOUND}", location="--bound")
+    primes = _parse_primes(args.primes, args.allow_two)
+    for p in primes:
+        if p > MAX_CURVATURE_P:
+            raise BudgetExceeded(f"p-curvature at p = {p} is above the budget MAX_CURVATURE_P = {MAX_CURVATURE_P}")
     with open(args.operator, "r", encoding="utf-8") as fh:
         L = diffop_from_json(fh.read())
     report = singularities(L)
@@ -131,7 +138,7 @@ def cmd_opinfo(args):
         "good_primes": good_primes(L, args.bound),
     }
     curvature = {}
-    for p in _parse_primes(args.primes, args.allow_two):
+    for p in primes:
         try:
             _, nilpotent = p_curvature(reduce_op_mod_p(L, p))
             curvature[str(p)] = nilpotent
@@ -223,7 +230,7 @@ def build_parser():
     output_options(sp, ("text", "json"))
     sp.set_defaults(fn=cmd_expand)
 
-    sp = sub.add_parser("opinfo", help="analyze an operator JSON file")
+    sp = sub.add_parser("opinfo", help=f"analyze an operator JSON file (p-curvature at p <= {MAX_CURVATURE_P})")
     sp.add_argument("operator", help="path to operator JSON")
     sp.add_argument("--bound", type=int, default=20, help=f"good-prime search bound (<= {MAX_BOUND})")
     prime_options(sp)

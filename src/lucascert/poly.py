@@ -7,15 +7,14 @@ substitution) so that products of the large polynomial powers showing up
 in certificate heights stay cheap.
 
 Irreducible factorization splits off squarefree parts here and factors
-each one with the integer-list kernels of `factoring`; everything else
-is implemented here directly: division, and the Euclidean remainder
-sequence behind gcd, resultant and discriminant.
+each one with the algorithms of `factoring`, which run on this class;
+everything else is implemented here directly: division, and the
+Euclidean remainder sequence behind gcd, resultant and discriminant.
 """
 
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .factoring import factor_squarefree_mod_p, factor_squarefree_z
 from .fields import QQ, PrimeField
 
 # Kronecker packing costs about one conversion per operand coefficient,
@@ -133,15 +132,16 @@ class Poly:
             return self
         return Poly(self.field, (self.field.zero,) * k + self.coeffs)
 
-    def __pow__(self, e):
+    def __pow__(self, e, modulus=None):
+        """self^e; pow(self, e, m) is self^e mod m, reduced after every product."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
+        reduce = (lambda a: a) if modulus is None else (lambda a: a % modulus)
+        result, base = reduce(Poly.one(self.field)), reduce(self)
         while e:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = reduce(result * base)
+            base = reduce(base * base) if e > 1 else base
             e >>= 1
         return result
 
@@ -312,14 +312,16 @@ class Poly:
             return self.field.zero, []
         if self.degree() == 0:
             return self.coeffs[0], []
+        # imported here because factoring imports Poly: the package's one import cycle
+        from .factoring import factor_squarefree_mod_p, factor_squarefree_z
+
         out = []
         for part, mult in self._squarefree():
             if self.field == QQ:
-                _, prim = part.content_primitive()
-                factors = factor_squarefree_z([int(c) for c in prim.coeffs])
+                factors = factor_squarefree_z(part.content_primitive()[1])
             else:
-                factors = factor_squarefree_mod_p(list(part.coeffs), self.field.p)
-            out.extend((Poly(self.field, g).monic(), mult) for g in factors)
+                factors = factor_squarefree_mod_p(part)
+            out.extend((g.monic(), mult) for g in factors)
         out.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
         return self.leading(), out
 

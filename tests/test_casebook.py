@@ -56,6 +56,15 @@ def test_case_2f1_identities_p7():
         assert labels[key], key
 
 
+def test_case_2f1_excludes_p_at_or_past_T(monkeypatch):
+    # P_1 and P_2 are prefixes of length p of the series expanded to T = 500
+    monkeypatch.setattr(casebook, "gen_terms", lambda *a: pytest.fail("expanded an excluded prime"))
+    res = case_2f1(1009)
+    assert res.excluded and res.passed and res.checks == []
+    assert "T = 500" in res.note
+    assert case_2f1(7, T=7).excluded
+
+
 def test_case_independence():
     res = run_case("independence", 5, T=300)
     assert res.passed, [c for c in res.checks if not c[1]]

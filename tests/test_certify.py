@@ -86,6 +86,14 @@ def test_split_pade_f2_mod_3_reveals_truncation_and_cofactor():
     assert c.eq_to_order(f1, len(c))
 
 
+def test_split_pade_length_message_names_the_true_minimum():
+    # section 0 needs 2d terms: (2d - 1) p + 1 = 112 coefficients at d = 2, p = 37
+    with pytest.raises(ReconstructionFailed, match="need at least 112 series coefficients"):
+        split_pade(series_mod_p(CAT["apery"], 37, 111), 2, 37)
+    w = split_pade(series_mod_p(CAT["apery"], 37, 112), 2, 37)
+    assert w.P == truncation("apery", 37)  # the Apery numbers are 37-Lucas
+
+
 def test_split_elimination_agrees_up_to_scalar():
     for name, p in (("f1", 3), ("f1", 5)):
         f = series_mod_p(CAT[name], p, 260)

@@ -17,7 +17,7 @@ from lucascert import (
     verify_certificate,
 )
 from lucascert.certify import MAX_T
-from lucascert.cli import MAX_EXPAND_T, MAX_SUM_EXPAND_T, build_parser, main
+from lucascert.cli import MAX_CURVATURE_P, MAX_EXPAND_T, MAX_SUM_EXPAND_T, build_parser, main
 
 
 @pytest.fixture()
@@ -90,6 +90,18 @@ def test_opinfo_text(f2_op_path, capsys):
     assert "indicial at zero: x^2" in out
     assert "-1/16 + z" in out and ", z" in out
     assert "good primes <= 20: [3, 5, 7, 11, 13, 17, 19]" in out
+
+
+def test_opinfo_over_curvature_budget_is_input_error(tmp_path, capsys):
+    # checked before the analysis: the apery p-curvature at p = 1009 ran past a minute
+    apery = tmp_path / "apery.json"
+    apery.write_text(json.dumps(diffop_to_json(default_catalog()["apery"].operator)))
+    start = time.perf_counter()
+    assert main(["opinfo", str(apery), "--primes", "5,1009"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "p = 1009" in err and f"MAX_CURVATURE_P = {MAX_CURVATURE_P}" in err
+    assert "Traceback" not in err
 
 
 def test_opinfo_json(f2_op_path, capsys):
@@ -219,6 +231,17 @@ def test_casebook_odd_prime_cases_exclude_p2(capsys):
     assert code == 0
     assert [r["excluded"] for r in json.loads(captured.out)] == [True, True]
     assert "case 2f1 at p=2 excluded" in captured.err and "Traceback" not in captured.err
+
+
+def test_casebook_2f1_excludes_primes_past_its_order(capsys):
+    # T = 500 <= p: the split checks would compare nothing past the truncations
+    start = time.perf_counter()
+    code = main(["casebook", "2f1", "--primes", "1009"])
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)[0]["excluded"] is True
+    assert "case 2f1 at p=1009 excluded" in captured.err and "Traceback" not in captured.err
 
 
 def test_casebook_excluded_prime_without_flag(capsys):

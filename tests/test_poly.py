@@ -3,9 +3,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-import hypothesis
 import pytest
-from hypothesis import strategies as st
 
 from lucascert import GF, QQ, Poly, default_catalog
 from lucascert.diffop import to_d
@@ -88,6 +86,19 @@ def test_power_matches_repeated_multiplication():
         for e in range(6):
             assert a**e == prod
             prod = prod * a
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=repr)
+def test_pow_with_modulus_matches_power_then_remainder(field):
+    rng = random.Random(31)
+    for _ in range(150):
+        a, m = rand_poly(rng, field, 6), rand_poly(rng, field, 4)
+        if m.is_zero():
+            continue
+        e = rng.choice([0, 1, 2, rng.randrange(3, 40)])
+        assert pow(a, e, m) == a**e % m, (a, e, m)
+    # x^0 mod a constant: Poly.one % m = 0, as for ints pow(3, 0, 1) = 0
+    assert pow(Poly.x(field), 0, Poly.constant(field, 1)) == Poly.one(field) % Poly.one(field) == Poly.zero(field)
 
 
 def test_kronecker_matches_schoolbook():
@@ -295,28 +306,6 @@ def test_factor_hard_cases_shapes():
 @pytest.mark.parametrize("name", sorted(catalog_lcm_dens()))
 def test_factor_catalog_lcm_dens_match_sympy(name):
     check_factor(catalog_lcm_dens()[name])
-
-
-@st.composite
-def factorable_polys(draw):
-    """Products of up to three random parts, each raised to a power <= 3, of degree <= 10."""
-    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(101)]))
-    if field == QQ:
-        coeff = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
-    else:
-        coeff = st.integers(0, field.p - 1)
-    P = Poly.one(field)
-    for _ in range(draw(st.integers(1, 3))):
-        part = Poly(field, draw(st.lists(coeff, min_size=1, max_size=5)))
-        P = P * part ** draw(st.integers(1, 3))
-    hypothesis.assume(not P.is_zero() and P.degree() <= 10)
-    return P
-
-
-@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@hypothesis.given(P=factorable_polys())
-def test_factor_matches_sympy(P):
-    check_factor(P)
 
 
 def test_content_primitive():
