@@ -8,10 +8,11 @@ An operator is a coefficient vector in one of two bases:
 coefficients are reduced rational functions, stored by decreasing
 derivative order with an explicit (not necessarily monic) leading term.
 
-The module covers the local anatomy of an operator: basis conversion via
-falling factorials / Stirling numbers, indicial polynomial and exponents
-at zero, the z -> 1/z transform, reduction mod p, p-curvature, and the
-coefficient recurrence of a MOM-at-zero operator.  `singularities` is the
+The module covers the local anatomy of an operator: the change of
+derivation between d/dz and delta and the z -> 1/z transform, all three
+by one rewriting of the cleared polynomial form, the indicial polynomial
+and exponents at zero, reduction mod p, p-curvature, and the coefficient
+recurrence of a MOM-at-zero operator.  `singularities` is the
 one analysis of the singular locus: exact irreducible factors, Fuchs
 regularity and, over Q, the integers whose prime divisors are the bad
 primes.  It factors once per operator and keeps its report on the
@@ -21,7 +22,6 @@ operator, so MOM tests, good primes and certificates share it.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd as int_gcd, lcm
 
 from .errors import BadPrime, LeadingZero, NotMomAtZero, NotSeriesExpandable, ParseError
@@ -122,40 +122,37 @@ def diffop_from_polys(field, basis, ascending_polys):
     return DiffOp(field, basis, list(reversed(coeffs)))
 
 
-# -- Stirling numbers ----------------------------------------------------------
+# -- change of derivation --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def stirling_first(n, k):
-    """Signed Stirling numbers of the first kind: z^n d^n = sum_k s(n,k) delta^k."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 0 or k > n:
-        return 0
-    return stirling_first(n - 1, k - 1) - (n - 1) * stirling_first(n - 1, k)
+def _rewrite(field, basis, D, N, table):
+    """The operator (1/D) sum_i N_i X_i with each X_i = sum_j table[i][j] Y^j.
+
+    N lists numerators by ascending power i of the source derivation X;
+    the result is in the target basis of Y, with the common power of z
+    stripped from its coefficients.
+    """
+    M = [Poly.zero(field)] * len(N)
+    for Ni, row in zip(N, table):
+        for j, c in enumerate(row):
+            M[j] = M[j] + c * Ni
+    w = min(P.valuation() for P in M if P)
+    D = Poly(field, D.coeffs[D.valuation():])
+    return DiffOp(field, basis, [RatFun(Poly(field, P.coeffs[w:]), D) for P in reversed(M)])
 
 
-@lru_cache(maxsize=None)
-def stirling_second(n, k):
-    """Stirling numbers of the second kind: delta^n = sum_k S(n,k) z^k d^k."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 0 or k > n:
-        return 0
-    return stirling_second(n - 1, k - 1) + k * stirling_second(n - 1, k)
-
-
-def _strip_common_z(coeffs):
-    """Divide all coefficients by the largest common power of z."""
-    vals = [c.valuation() for c in coeffs if not c.is_zero()]
-    v = min(vals)
-    if v == 0:
-        return list(coeffs)
-    field = coeffs[0].field
-    shift = RatFun(Poly.one(field), Poly.x(field) ** v) if v > 0 else RatFun.from_poly(
-        Poly.x(field) ** (-v)
-    )
-    return [c * shift for c in coeffs]
+def _powers(g, n):
+    """(g d/dz)^i for i = 0..n, each as its polynomial coefficients of d^0..d^i."""
+    field = g.field
+    powers = [[Poly.one(field)]]
+    for _ in range(n):
+        prev = powers[-1]
+        nxt = [Poly.zero(field)] * (len(prev) + 1)
+        for j, c in enumerate(prev):
+            nxt[j] = nxt[j] + g * c.derivative()
+            nxt[j + 1] = nxt[j + 1] + g * c
+        powers.append(nxt)
+    return powers
 
 
 def to_delta(L):
@@ -168,39 +165,21 @@ def to_delta(L):
         return L
     field = L.field
     n = L.order
-    out = [RatFun.zero(field) for _ in range(n + 1)]  # index = delta power
-    zpow = [RatFun.from_poly(Poly.x(field) ** j) for j in range(n + 1)]
-    for i in range(n + 1):  # derivative order
-        a = L.coeff(i)
-        if a.is_zero():
-            continue
-        base = a * zpow[n - i]  # a * z^(n-i), to be multiplied by z^i d^i
-        for k in range(i + 1):
-            s = stirling_first(i, k)
-            if s:
-                out[k] = out[k] + base.scale(s)
-    coeffs = list(reversed(out))
-    return DiffOp(field, DELTA_BASIS, _strip_common_z(coeffs))
+    D, N = cleared(L)
+    # z^n d^i = z^(n-i) delta (delta - 1) ... (delta - i + 1)
+    table, falling = [], Poly.one(field)
+    for i in range(n + 1):
+        table.append([Poly.constant(field, c).shift(n - i) for c in falling.coeffs])
+        falling = falling * Poly(field, (field.coerce(-i), field.one))
+    return _rewrite(field, DELTA_BASIS, D, N[::-1], table)
 
 
 def to_d(L):
     """Rewrite a delta-basis operator in d/dz, common z powers stripped."""
     if L.basis == D_BASIS:
         return L
-    field = L.field
-    n = L.order
-    out = [RatFun.zero(field) for _ in range(n + 1)]  # index = derivative order
-    zpow = [RatFun.from_poly(Poly.x(field) ** j) for j in range(n + 1)]
-    for j in range(n + 1):  # delta power
-        b = L.coeff(j)
-        if b.is_zero():
-            continue
-        for k in range(j + 1):
-            s = stirling_second(j, k)
-            if s:
-                out[k] = out[k] + (b * zpow[k]).scale(s)
-    coeffs = list(reversed(out))
-    return DiffOp(field, D_BASIS, _strip_common_z(coeffs))
+    D, N = cleared(L)
+    return _rewrite(L.field, D_BASIS, D, N[::-1], _powers(Poly.x(L.field), L.order))
 
 
 # -- singular locus --------------------------------------------------------------
@@ -255,7 +234,7 @@ def singularities(L):
         finite.append((fac, regular))
         count_r += fac.degree()
 
-    infinity = _infinity_tag(Ld, tail)
+    infinity = _infinity_tag(Ld)
     bad = _good_prime_obstructions(tail, finite) if field == QQ else None
     L._singularities = SingularityReport(tuple(finite), infinity, count_r, bad)
     return L._singularities
@@ -302,19 +281,21 @@ def _multiplicity(den, fac):
         mult += 1
 
 
-def _infinity_tag(Ld, tail):
+def _infinity_tag(Ld):
     """Classify infinity: ordinary, regular singular, or irregular."""
-    # regular-vs-irregular by the degree criterion on the monic coefficients
-    degree_ok = all(
-        a.is_zero() or a.num.degree() <= a.den.degree() - i
-        for i, a in enumerate(tail, start=1)
-    )
     # singular at all? equivalent to 0 being a singular point of L(1/z)
-    Linf = infinity_transform(Ld)
-    singular = any(a.has_pole_at_zero() for a in Linf.monic_tail())
-    if not singular:
+    if not _pole_at_zero(cleared(infinity_transform(Ld))[1]):
         return "nonsingular"
-    return "regular" if degree_ok else "irregular"
+    # regular-vs-irregular by the degree criterion on the monic coefficients N_i / N_0
+    _, N = cleared(Ld)
+    regular = all(not P or P.degree() <= N[0].degree() - i for i, P in enumerate(N))
+    return "regular" if regular else "irregular"
+
+
+def _pole_at_zero(N):
+    """True when some N_i / N_0 has a pole at z = 0."""
+    v = N[0].valuation()
+    return any(P and P.valuation() < v for P in N[1:])
 
 
 def infinity_transform(L):
@@ -326,30 +307,12 @@ def infinity_transform(L):
     """
     Ld = to_d(L)
     field = Ld.field
-    n = Ld.order
-    z2 = Poly(field, (field.zero, field.zero, field.neg(field.one)))  # -z^2
-    # powers[i] = (-z^2 d/dz)^i expanded as sum_j c_j(z) d^j, c_j polynomial
-    powers = [[Poly.one(field)]]
-    for _ in range(n):
-        prev = powers[-1]
-        nxt = [Poly.zero(field) for _ in range(len(prev) + 1)]
-        for j, c in enumerate(prev):
-            nxt[j] = nxt[j] + z2 * c.derivative()
-            nxt[j + 1] = nxt[j + 1] + z2 * c
-        powers.append(nxt)
-    out = [RatFun.zero(field) for _ in range(n + 1)]
-    for i in range(n + 1):
-        a = Ld.coeff(i)
-        if a.is_zero():
-            continue
-        a_inv = a.substitute_inverse()
-        for j, c in enumerate(powers[i]):
-            if not c.is_zero():
-                out[j] = out[j] + a_inv * c
-    coeffs = list(reversed(out))
-    while len(coeffs) > 1 and coeffs[0].is_zero():
-        coeffs = coeffs[1:]
-    return DiffOp(field, D_BASIS, _strip_common_z(coeffs))
+    D, N = cleared(Ld)
+    # z^e P(1/z) for every coefficient: one common factor z^e keeps the quotients N_i / D
+    e = max(P.degree() for P in (D, *N))
+    D, *N = [P.reverse().shift(e - P.degree()) for P in (D, *N[::-1])]
+    minus_z2 = Poly(field, (field.zero, field.zero, field.neg(field.one)))
+    return _rewrite(field, D_BASIS, D, N, _powers(minus_z2, Ld.order))
 
 
 # -- indicial polynomial and MOM ----------------------------------------------------
@@ -362,15 +325,11 @@ def indicial_at_zero(L):
     at 0 (zero ordinary or regular singular); raises NotSeriesExpandable
     otherwise.  The roots are the exponents of L at zero.
     """
-    Ld = to_delta(L)
-    field = Ld.field
-    tail = Ld.monic_tail()
-    coeffs = [field.one]
-    for b in tail:
-        if b.has_pole_at_zero():
-            raise NotSeriesExpandable("delta coefficient has a pole at 0")
-        coeffs.append(b.eval0())
-    return Poly(field, list(reversed(coeffs)))
+    _, N = cleared(to_delta(L))
+    if _pole_at_zero(N):
+        raise NotSeriesExpandable("delta coefficient has a pole at 0")
+    field, v = L.field, N[0].valuation()
+    return Poly(field, [field.div(P[v], N[0][v]) for P in reversed(N)])
 
 
 def is_mom(L):

@@ -5,7 +5,7 @@ functions is structural equality of the pair.  The height is
 max(deg num, deg den), the size measure used by all certificate bounds.
 """
 
-from .errors import NotSeriesExpandable, ZeroDenominator
+from .errors import ZeroDenominator
 from .poly import Poly
 
 
@@ -73,21 +73,8 @@ class RatFun:
     def __bool__(self):
         return not self.is_zero()
 
-    def eval0(self):
-        """Value at z = 0; raises NotSeriesExpandable on a pole."""
-        d0 = self.den.eval(self.field.zero)
-        if self.field.is_zero(d0):
-            raise NotSeriesExpandable("pole at z = 0")
-        return self.field.div(self.num.eval(self.field.zero), d0)
-
     def has_pole_at_zero(self):
         return self.field.is_zero(self.den.eval(self.field.zero))
-
-    def valuation(self):
-        """z-adic valuation val(num) - val(den); raises on zero."""
-        if self.is_zero():
-            raise ValueError("valuation of the zero rational function")
-        return self.num.valuation() - self.den.valuation()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -149,19 +136,6 @@ class RatFun:
         """d/dz via the quotient rule, reduced."""
         n, d = self.num, self.den
         return RatFun(n.derivative() * d - n * d.derivative(), d * d)
-
-    def substitute_inverse(self):
-        """The rational function a(1/z), as a reduced RatFun."""
-        if self.is_zero():
-            return self
-        dn, dd = self.num.degree(), self.den.degree()
-        rn, rd = self.num.reverse(), self.den.reverse()
-        if dd >= dn:
-            return RatFun(rn.shift(dd - dn), rd)
-        return RatFun(rn, rd.shift(dn - dd))
-
-    def scale(self, c):
-        return RatFun(self.num.scale(c), self.den, _reduced=False)
 
     def __repr__(self):
         if self.is_polynomial():

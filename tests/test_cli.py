@@ -17,7 +17,7 @@ from lucascert import (
     verify_certificate,
 )
 from lucascert.certify import MAX_T
-from lucascert.cli import MAX_CURVATURE_P, MAX_EXPAND_T, MAX_SUM_EXPAND_T, build_parser, main
+from lucascert.cli import MAX_CASEBOOK_P, MAX_CURVATURE_P, MAX_EXPAND_T, MAX_SUM_EXPAND_T, build_parser, main
 
 
 @pytest.fixture()
@@ -241,7 +241,20 @@ def test_casebook_2f1_excludes_primes_past_its_order(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out)[0]["excluded"] is True
-    assert "case 2f1 at p=1009 excluded" in captured.err and "Traceback" not in captured.err
+    assert "case 2f1 at p=1009 excluded: the split checks to order T = 500 need p < T" in captured.err
+    assert captured.err.count("excluded:") == 1 and "Traceback" not in captured.err
+    assert json.loads(captured.out)[0]["note"] == "p = 1009 excluded: the split checks to order T = 500 need p < T"
+
+
+@pytest.mark.parametrize("case_id", ["210", "26", "independence"])
+def test_casebook_prime_over_budget_is_input_error(case_id, capsys):
+    # these cases grow with p: at p = 1009 each ran past a minute
+    start = time.perf_counter()
+    assert main(["casebook", case_id, "--primes", "5,1009"]) == 1
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert f"casebook {case_id} at p = 1009" in err and f"MAX_CASEBOOK_P = {MAX_CASEBOOK_P}" in err
+    assert "Traceback" not in err
 
 
 def test_casebook_excluded_prime_without_flag(capsys):

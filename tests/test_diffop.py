@@ -12,8 +12,10 @@ from lucascert import (
     GF,
     QQ,
     BadPrime,
+    DiffOp,
     LeadingZero,
     NotMomAtZero,
+    NotSeriesExpandable,
     Poly,
     RatFun,
     assemble_certificate,
@@ -162,8 +164,6 @@ def test_indicial_apery_is_x_cubed():
 
 
 def test_indicial_raises_on_pole_at_zero():
-    from lucascert import DiffOp, NotSeriesExpandable, RatFun
-
     # delta + 1/z: the normalized delta coefficient has a pole at 0
     L = DiffOp(
         QQ,
@@ -240,6 +240,151 @@ def test_exponent_duality_on_catalog():
         ind = indicial_at_zero(Linf)  # must exist when infinity is regular
         assert ind.degree() == L.order
         assert rep.infinity == "regular"
+
+
+# -- the RatFun conversions, kept as the oracle of the cleared-form rewriting ---------
+
+
+def _stirling_first(n, k):
+    """Signed Stirling numbers of the first kind: z^n d^n = sum_k s(n,k) delta^k."""
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k < 0 or k > n:
+        return 0
+    return _stirling_first(n - 1, k - 1) - (n - 1) * _stirling_first(n - 1, k)
+
+
+def _stirling_second(n, k):
+    """Stirling numbers of the second kind: delta^n = sum_k S(n,k) z^k d^k."""
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k < 0 or k > n:
+        return 0
+    return _stirling_second(n - 1, k - 1) + k * _stirling_second(n - 1, k)
+
+
+def _strip_common_z(coeffs):
+    """Divide all coefficients by the largest common power of z."""
+    v = min(c.num.valuation() - c.den.valuation() for c in coeffs if not c.is_zero())
+    z = RatFun.from_poly(Poly.x(coeffs[0].field))
+    return [c * z ** (-v) for c in coeffs]
+
+
+def _to_delta_oracle(L):
+    if L.basis == "delta":
+        return L
+    field, n = L.field, L.order
+    out = [RatFun.zero(field) for _ in range(n + 1)]  # index = delta power
+    for i in range(n + 1):  # derivative order
+        base = L.coeff(i) * Poly.x(field) ** (n - i)  # to be multiplied by z^i d^i
+        for k in range(i + 1):
+            out[k] = out[k] + base * _stirling_first(i, k)
+    return DiffOp(field, "delta", _strip_common_z(out[::-1]))
+
+
+def _to_d_oracle(L):
+    if L.basis == "d":
+        return L
+    field, n = L.field, L.order
+    out = [RatFun.zero(field) for _ in range(n + 1)]  # index = derivative order
+    for j in range(n + 1):  # delta power
+        for k in range(j + 1):
+            out[k] = out[k] + L.coeff(j) * Poly.x(field) ** k * _stirling_second(j, k)
+    return DiffOp(field, "d", _strip_common_z(out[::-1]))
+
+
+def _substitute_inverse(a):
+    """The rational function a(1/z)."""
+    if a.is_zero():
+        return a
+    dn, dd = a.num.degree(), a.den.degree()
+    rn, rd = a.num.reverse(), a.den.reverse()
+    if dd >= dn:
+        return RatFun(rn.shift(dd - dn), rd)
+    return RatFun(rn, rd.shift(dn - dd))
+
+
+def _infinity_transform_oracle(L):
+    Ld = _to_d_oracle(L)
+    field, n = Ld.field, Ld.order
+    z2 = Poly(field, (field.zero, field.zero, field.neg(field.one)))  # -z^2
+    # powers[i] = (-z^2 d/dz)^i expanded as sum_j c_j(z) d^j, c_j polynomial
+    powers = [[Poly.one(field)]]
+    for _ in range(n):
+        prev = powers[-1]
+        nxt = [Poly.zero(field) for _ in range(len(prev) + 1)]
+        for j, c in enumerate(prev):
+            nxt[j] = nxt[j] + z2 * c.derivative()
+            nxt[j + 1] = nxt[j + 1] + z2 * c
+        powers.append(nxt)
+    out = [RatFun.zero(field) for _ in range(n + 1)]
+    for i in range(n + 1):
+        a_inv = _substitute_inverse(Ld.coeff(i))
+        for j, c in enumerate(powers[i]):
+            out[j] = out[j] + a_inv * c
+    return DiffOp(field, "d", _strip_common_z(out[::-1]))
+
+
+def _indicial_oracle(L):
+    field = L.field
+    coeffs = [field.one]
+    for b in _to_delta_oracle(L).monic_tail():
+        if b.has_pole_at_zero():
+            raise NotSeriesExpandable("delta coefficient has a pole at 0")
+        coeffs.append(field.div(b.num[0], b.den[0]))
+    return Poly(field, coeffs[::-1])
+
+
+def _infinity_tag_oracle(L):
+    Ld = _to_d_oracle(L)
+    degree_ok = all(
+        a.is_zero() or a.num.degree() <= a.den.degree() - i
+        for i, a in enumerate(Ld.monic_tail(), start=1)
+    )
+    if not any(a.has_pole_at_zero() for a in _infinity_transform_oracle(Ld).monic_tail()):
+        return "nonsingular"
+    return "regular" if degree_ok else "irregular"
+
+
+def _random_operator(rng, field):
+    """Order 1-3 in either basis; some coefficients zero, rational, or with a pole at 0."""
+    def poly(max_degree):
+        return Poly(field, [field.coerce(rng.randint(-5, 5)) for _ in range(rng.randint(1, max_degree + 1))])
+
+    while True:
+        coeffs = []
+        for k in range(rng.randint(2, 4)):
+            num = poly(3) if k == 0 or rng.random() < 0.75 else Poly.zero(field)
+            den = poly(2) if rng.random() < 0.4 else Poly.one(field)
+            if rng.random() < 0.3:
+                den = den.shift(rng.randint(1, 2))
+            coeffs.append(RatFun(num, den if den else Poly.one(field)))
+        if coeffs[0]:
+            return DiffOp(field, rng.choice(("d", "delta")), coeffs)
+
+
+def test_conversions_match_ratfun_oracle():
+    rng = random.Random(12)
+    fields = (QQ, GF(2), GF(5), GF(101))
+    ops = list(OPS.values()) + [_random_operator(rng, fields[i % 4]) for i in range(160)]
+    seen = set()
+    for L in ops:
+        assert to_d(L) == _to_d_oracle(L), L
+        assert to_delta(L) == _to_delta_oracle(L), L
+        assert infinity_transform(L) == _infinity_transform_oracle(L), L
+        try:
+            expected = _indicial_oracle(L)
+        except NotSeriesExpandable:
+            with pytest.raises(NotSeriesExpandable):
+                indicial_at_zero(L)
+            seen.add("pole at 0")
+        else:
+            assert indicial_at_zero(L) == expected, L
+        assert singularities(L).infinity == _infinity_tag_oracle(L), L
+        seen |= {L.order, L.basis, L.field, singularities(L).infinity}
+        seen |= {"zero" for c in L.coeffs if not c} | {"rational" for c in L.coeffs if not c.is_polynomial()}
+    assert seen >= {1, 2, 3, "d", "delta", *fields, "pole at 0", "zero", "rational",
+                    "nonsingular", "regular", "irregular"}
 
 
 # -- reduction mod p --------------------------------------------------------------------

@@ -98,15 +98,6 @@ def test_derivative_quotient_rule():
     assert d == RatFun(Poly.one(QQ), to_poly(QQ, [1, -1]) ** 2)
 
 
-def test_substitute_inverse():
-    # a(z) = z / (1 - 16 z) -> a(1/z) = 1 / (z - 16)
-    a = RatFun(to_poly(QQ, [0, 1]), to_poly(QQ, [1, -16]))
-    b = a.substitute_inverse()
-    assert b == RatFun(Poly.one(QQ), to_poly(QQ, [-16, 1]))
-    # involution
-    assert b.substitute_inverse() == a
-
-
 def test_power_and_division():
     F = GF(5)
     a = RatFun(to_poly(F, [1, 1]), to_poly(F, [1, 2]))
