@@ -26,6 +26,8 @@ from .errors import (
 )
 from .fields import GF, QQ, PrimeField, RationalField, is_prime, reduce_rat_mod_p
 from .poly import Poly, format_poly
+# loaded with the package for tools that wrap loaded modules; Poly.factor imports it at call time
+from . import factoring  # noqa: F401
 from .ratfun import RatFun
 from .series import (
     TruncSeries,
@@ -38,7 +40,6 @@ from .diffop import (
     DiffOp,
     Recurrence,
     SingularityReport,
-    cleared,
     companion,
     diffop_from_json,
     diffop_from_polys,

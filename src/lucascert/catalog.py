@@ -26,12 +26,16 @@ from math import comb
 from .diffop import (
     DiffOp, diffop_from_json, diffop_from_polys, diffop_to_json, expand, json_value, recurrence_from,
 )
-from .errors import ParseError, UnknownSeries
+from .errors import BudgetExceeded, ParseError, UnknownSeries
 from .fields import QQ, PrimeField, is_prime, reduce_rat_mod_p
 from .poly import Poly
 from .series import TruncSeries, reduce_series_mod_p
 
 KINDS = ("binom_power", "f_r", "apery", "cy26", "cy210", "operator")
+# budget of series_mod_p's route over Q, in terms: the n-th Apery number has about 1.53 n
+# digits, so memory grows as T^2; apery at T = 55000 peaks at 1000 MB in 11 s (2 cores,
+# CPython 3.11.7), at T = 51712 at 886 MB
+MAX_Q_T = 55000
 
 
 @dataclass(frozen=True)
@@ -115,9 +119,11 @@ def series_over_q(g, T):
 
 
 def series_mod_p(g, p, T):
-    """f|_p to order T: by Lucas digits for binomial-type kinds, else reduced from Q."""
+    """f|_p to order T: by Lucas digits for binomial-type kinds, else reduced from Q (T <= MAX_Q_T)."""
     route = _MOD_P_ROUTES.get(g.kind)
     if route is None:
+        if T > MAX_Q_T:
+            raise BudgetExceeded(f"series {g.name!r} needs T = {T} terms over Q, above the budget MAX_Q_T = {MAX_Q_T}")
         return reduce_series_mod_p(series_over_q(g, T), p)
     if T < 1:
         raise ValueError("T must be >= 1")

@@ -439,8 +439,11 @@ def assemble_certificate(seqgen, p, T=None):
     good primes.  The level comes from orbit detection; the certificate is
     assembled as A_{0,l} (A_{l,l}/A_{0,l})^(p^l) and carries the L^2-type
     bound 2C p^(2l) with C = 2nr, or collapses to A_{0,l} with the L-type
-    bound C p^l when the orbit has no preperiod.  No expansion, probe or
-    final, goes past MAX_T terms: BudgetExceeded names the T needed instead.
+    bound C p^l when the orbit has no preperiod.  Automatic T also covers the
+    (2d - 1) p^(2l) + 1 terms that A_{l,l} needs to split Lambda^(2l-1) f (d
+    the recurrence span); an explicit T below that is a ReconstructionFailed
+    naming it.  No expansion, probe or final, goes past MAX_T terms:
+    BudgetExceeded names the T needed instead.
     When the final T equals the probe's length, the probe's expansion and
     orbit are the final ones.
     """
@@ -476,12 +479,15 @@ def assemble_certificate(seqgen, p, T=None):
             bound_guess = C * p**orbit.level
         else:
             bound_guess = 2 * C * p ** (2 * orbit.level)
-        T = max(2 * bound_guess + 16, 512, probe)
+        T = max(2 * bound_guess + 16, 512, probe, _lambda_split_T(span, p, orbit.level))
     if T != probe:
         _check_budget(T)
         f_p = series_mod_p(seqgen, p, T)
         orbit = orbit_detect(f_p, p)
     level = orbit.level
+    need = _lambda_split_T(span, p, level)
+    if T < need:
+        raise ReconstructionFailed(f"the A_{{l,l}} check at level {level} needs T >= {need} series terms, got T = {T}")
 
     A0l = iterate_certificates(f_p, 0, level, p, n, r, span=span)
     All = iterate_certificates(f_p, level, level, p, n, r, span=span)
@@ -508,6 +514,11 @@ def assemble_certificate(seqgen, p, T=None):
         bound_kind=kind,
         series=seqgen.name,
     )
+
+
+def _lambda_split_T(span, p, level):
+    """Least T at which A_{l,l} can split Lambda^(2l-1) f: (2 span - 1) p + 1 of its terms."""
+    return (2 * span - 1) * p ** (2 * level) + 1
 
 
 def _check_budget(T):

@@ -1,16 +1,17 @@
 """Linear differential operators over K(z), K = Q or F_p.
 
-An operator is a coefficient vector in one of two bases:
+An operator is stored in its cleared polynomial form, in one of two bases:
 
-  * D-basis:      L = a_0(z) d^n/dz^n + ... + a_n(z), derivations d/dz
-  * Delta-basis:  L = b_0(z) delta^n + ... + b_n(z), delta = z d/dz
+  * D-basis:      L = (1/D) (N_0(z) d^n/dz^n + ... + N_n(z)), derivations d/dz
+  * Delta-basis:  L = (1/D) (N_0(z) delta^n + ... + N_n(z)), delta = z d/dz
 
-coefficients are reduced rational functions, stored by decreasing
-derivative order with an explicit (not necessarily monic) leading term.
+with polynomials D (`den`, monic) and N_0..N_n (`nums`, by decreasing
+derivative order, N_0 nonzero) and gcd(D, N_0, ..., N_n) = 1, so the form
+is unique.  `coeffs` views the reduced rational coefficients N_k / D.
 
 The module covers the local anatomy of an operator: the change of
 derivation between d/dz and delta and the z -> 1/z transform, all three
-by one rewriting of the cleared polynomial form, the indicial polynomial
+by one rewriting of the polynomial form, the indicial polynomial
 and exponents at zero, reduction mod p, p-curvature, and the coefficient
 recurrence of a MOM-at-zero operator.  `singularities` is the
 one analysis of the singular locus: exact irreducible factors, Fuchs
@@ -36,69 +37,80 @@ DELTA_BASIS = "delta"
 
 
 class DiffOp:
-    """Differential operator; coeffs[0] is the leading (order-n) coefficient."""
+    """The operator (1/den) sum_k nums[k] X^(n-k), X = d/dz or delta, in its stored form."""
 
-    __slots__ = ("field", "basis", "coeffs", "_singularities")
+    __slots__ = ("field", "basis", "den", "nums", "_singularities")
 
     def __init__(self, field, basis, coeffs):
-        if basis not in (D_BASIS, DELTA_BASIS):
-            raise ValueError(f"unknown basis {basis!r}")
-        coeffs = tuple(
-            c if isinstance(c, RatFun) else RatFun.from_poly(c) for c in coeffs
-        )
-        if not coeffs or coeffs[0].is_zero():
-            raise ValueError("leading coefficient must be nonzero")
+        """The operator sum_k coeffs[k] X^(n-k) from RatFun or Poly coefficients."""
+        coeffs = [c if isinstance(c, RatFun) else RatFun.from_poly(c) for c in coeffs]
         if any(c.field != field for c in coeffs):
             raise TypeError("coefficient fields do not match operator field")
+        den = Poly.one(field)
+        for c in coeffs:
+            den = den.lcm(c.den)
+        self._store(field, basis, den, [c.num * den.exact_div(c.den) for c in coeffs])
+
+    @classmethod
+    def _from_cleared(cls, field, basis, den, nums):
+        """The operator (1/den) sum_k nums[k] X^(n-k) from polynomials, with no RatFun."""
+        L = cls.__new__(cls)
+        L._store(field, basis, den, nums)
+        return L
+
+    def _store(self, field, basis, den, nums):
+        """Keep (1/den) sum_k nums[k] X^(n-k) reduced by one gcd chain, den made monic."""
+        if basis not in (D_BASIS, DELTA_BASIS):
+            raise ValueError(f"unknown basis {basis!r}")
+        if not nums or nums[0].is_zero():
+            raise ValueError("leading coefficient must be nonzero")
+        g = _common_gcd(den, nums)
+        if g.degree() > 0:
+            den, nums = den.exact_div(g), [N.exact_div(g) for N in nums]
+        lc_inv = field.inv(den.leading())
         self.field = field
         self.basis = basis
-        self.coeffs = coeffs
+        self.den = den.scale(lc_inv)
+        self.nums = tuple(N.scale(lc_inv) for N in nums)
         self._singularities = None  # filled in by the first singularities(self)
 
     @property
     def order(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self):
+        """The reduced coefficients N_k / den, leading first; built on every access."""
+        return tuple(RatFun(N, self.den) for N in self.nums)
 
     def coeff(self, derivative_order):
         """Coefficient of d^k (or delta^k) for k = derivative_order."""
-        return self.coeffs[self.order - derivative_order]
+        return RatFun(self.nums[self.order - derivative_order], self.den)
 
     def monic_tail(self):
         """The normalized a_1..a_n with a_i the coefficient of the (n-i)-th power."""
-        lead = self.coeffs[0]
-        return [c / lead for c in self.coeffs[1:]]
-
-    def scale(self, a):
-        """Multiply every coefficient by a nonzero rational function."""
-        if not isinstance(a, RatFun):
-            a = RatFun.constant(self.field, a)
-        if a.is_zero():
-            raise ValueError("cannot scale an operator by zero")
-        return DiffOp(self.field, self.basis, [c * a for c in self.coeffs])
+        lead, *tail = self.coeffs
+        return [c / lead for c in tail]
 
     def __eq__(self, other):
         return (
             isinstance(other, DiffOp)
             and other.field == self.field
             and other.basis == self.basis
-            and other.coeffs == self.coeffs
+            and other.den == self.den
+            and other.nums == self.nums
         )
 
     def apply(self, f):
         """Apply the operator to a truncated series.
 
-        Uses the denominator-cleared delta form, so the residual is exact to
+        Uses the numerators of the delta form, so the residual is exact to
         the full truncation order of f.
         """
-        _, polys = cleared(to_delta(self))
-        n = len(polys) - 1
         out = TruncSeries.zero(f.field, len(f))
-        for k, pk in enumerate(polys):
-            power = n - k
-            g = f
-            for _ in range(power):
-                g = g.delta()
-            out = out + g.mul_poly(pk)
+        for pk in reversed(to_delta(self).nums):
+            out = out + f.mul_poly(pk)
+            f = f.delta()
         return out
 
     def __repr__(self):
@@ -116,10 +128,18 @@ class DiffOp:
         return " + ".join(parts) or "0"
 
 
+def _common_gcd(P, others):
+    """A gcd of the nonzero P and others; no gcd is taken once it is a constant."""
+    for Q in others:
+        if P.degree() > 0:
+            P = P.gcd(Q)
+    return P
+
+
 def diffop_from_polys(field, basis, ascending_polys):
     """Operator from polynomial coefficients listed by ascending derivative order."""
-    coeffs = [RatFun.from_poly(Poly(field, cs)) for cs in ascending_polys]
-    return DiffOp(field, basis, list(reversed(coeffs)))
+    nums = [Poly(field, cs) for cs in reversed(ascending_polys)]
+    return DiffOp._from_cleared(field, basis, Poly.one(field), nums)
 
 
 # -- change of derivation --------------------------------------------------------
@@ -138,7 +158,7 @@ def _rewrite(field, basis, D, N, table):
             M[j] = M[j] + c * Ni
     w = min(P.valuation() for P in M if P)
     D = Poly(field, D.coeffs[D.valuation():])
-    return DiffOp(field, basis, [RatFun(Poly(field, P.coeffs[w:]), D) for P in reversed(M)])
+    return DiffOp._from_cleared(field, basis, D, [Poly(field, P.coeffs[w:]) for P in reversed(M)])
 
 
 def _powers(g, n):
@@ -165,21 +185,19 @@ def to_delta(L):
         return L
     field = L.field
     n = L.order
-    D, N = cleared(L)
     # z^n d^i = z^(n-i) delta (delta - 1) ... (delta - i + 1)
     table, falling = [], Poly.one(field)
     for i in range(n + 1):
         table.append([Poly.constant(field, c).shift(n - i) for c in falling.coeffs])
         falling = falling * Poly(field, (field.coerce(-i), field.one))
-    return _rewrite(field, DELTA_BASIS, D, N[::-1], table)
+    return _rewrite(field, DELTA_BASIS, L.den, L.nums[::-1], table)
 
 
 def to_d(L):
     """Rewrite a delta-basis operator in d/dz, common z powers stripped."""
     if L.basis == D_BASIS:
         return L
-    D, N = cleared(L)
-    return _rewrite(L.field, D_BASIS, D, N[::-1], _powers(Poly.x(L.field), L.order))
+    return _rewrite(L.field, D_BASIS, L.den, L.nums[::-1], _powers(Poly.x(L.field), L.order))
 
 
 # -- singular locus --------------------------------------------------------------
@@ -209,33 +227,26 @@ class SingularityReport:
 def singularities(L):
     """Exact singularity analysis of the monic normalization of L.
 
+    From the d-form numerators: the singular factors f divide N_0 / gcd(N_0, ..., N_n),
+    and f is regular when mult_f(N_0) - mult_f(N_i) <= i for every nonzero N_i.
     Computed on the first call and kept on L, which is immutable.
     """
     if L._singularities is not None:
         return L._singularities
     Ld = to_d(L)
-    tail = Ld.monic_tail()
-    field = Ld.field
-
-    lcm_den = Poly.one(field)
-    for a in tail:
-        lcm_den = lcm_den.lcm(a.den)
-    _, factors = lcm_den.factor()
+    lead, *tail = Ld.nums
+    _, factors = lead.exact_div(_common_gcd(lead, tail)).factor()
 
     finite = []
     count_r = 0
     for fac, _ in factors:
-        regular = True
-        for i, a in enumerate(tail, start=1):
-            mult = _multiplicity(a.den, fac)
-            if mult > i:
-                regular = False
-                break
+        mult = _multiplicity(lead, fac)
+        regular = all(not P or mult - _multiplicity(P, fac) <= i for i, P in enumerate(tail, start=1))
         finite.append((fac, regular))
         count_r += fac.degree()
 
     infinity = _infinity_tag(Ld)
-    bad = _good_prime_obstructions(tail, finite) if field == QQ else None
+    bad = _good_prime_obstructions(Ld.monic_tail(), finite) if Ld.field == QQ else None
     L._singularities = SingularityReport(tuple(finite), infinity, count_r, bad)
     return L._singularities
 
@@ -271,23 +282,24 @@ def _good_prime_obstructions(tail, finite):
     return tuple(v for v in bad if v)
 
 
-def _multiplicity(den, fac):
+def _multiplicity(P, fac):
+    """The multiplicity of the irreducible fac in the nonzero P."""
     mult = 0
     while True:
-        q, r = den.divmod(fac)
+        q, r = P.divmod(fac)
         if not r.is_zero():
             return mult
-        den = q
+        P = q
         mult += 1
 
 
 def _infinity_tag(Ld):
     """Classify infinity: ordinary, regular singular, or irregular."""
     # singular at all? equivalent to 0 being a singular point of L(1/z)
-    if not _pole_at_zero(cleared(infinity_transform(Ld))[1]):
+    if not _pole_at_zero(infinity_transform(Ld).nums):
         return "nonsingular"
     # regular-vs-irregular by the degree criterion on the monic coefficients N_i / N_0
-    _, N = cleared(Ld)
+    N = Ld.nums
     regular = all(not P or P.degree() <= N[0].degree() - i for i, P in enumerate(N))
     return "regular" if regular else "irregular"
 
@@ -307,7 +319,7 @@ def infinity_transform(L):
     """
     Ld = to_d(L)
     field = Ld.field
-    D, N = cleared(Ld)
+    D, N = Ld.den, Ld.nums
     # z^e P(1/z) for every coefficient: one common factor z^e keeps the quotients N_i / D
     e = max(P.degree() for P in (D, *N))
     D, *N = [P.reverse().shift(e - P.degree()) for P in (D, *N[::-1])]
@@ -325,7 +337,7 @@ def indicial_at_zero(L):
     at 0 (zero ordinary or regular singular); raises NotSeriesExpandable
     otherwise.  The roots are the exponents of L at zero.
     """
-    _, N = cleared(to_delta(L))
+    N = to_delta(L).nums
     if _pole_at_zero(N):
         raise NotSeriesExpandable("delta coefficient has a pole at 0")
     field, v = L.field, N[0].valuation()
@@ -366,19 +378,6 @@ def exponents_at_zero(L):
 # -- reduction mod p ------------------------------------------------------------
 
 
-def cleared(L):
-    """Common-denominator form (D, [N_0..N_n]) of L, in L's own basis.
-
-    D is the monic lcm of the coefficient denominators and N_k is the
-    polynomial D * coeffs[k], so that L = (1/D) sum_k N_k * d^(n-k) (or
-    delta^(n-k)).
-    """
-    D = Poly.one(L.field)
-    for c in L.coeffs:
-        D = D.lcm(c.den)
-    return D, [c.num * D.exact_div(c.den) for c in L.coeffs]
-
-
 def reduce_op_mod_p(L, p):
     """Reduce a Q(z)-operator mod p after clearing to primitive integer form.
 
@@ -390,19 +389,18 @@ def reduce_op_mod_p(L, p):
         raise BadPrime(f"{p} is not prime")
     if L.field != QQ:
         raise TypeError("operator must be over Q")
-    D, polys = cleared(L)
     # primitive integer form: the content of a set of reduced fractions is
     # gcd(numerators) / lcm(denominators)
-    values = [c for N in polys for c in N.coeffs]
+    values = [c for N in L.nums for c in N.coeffs]
     content = Fraction(int_gcd(*(c.numerator for c in values)),
                        lcm(*(c.denominator for c in values)))
     Fp = PrimeField(p)
-    coeffs = [Poly(Fp, [int(c / content) for c in N.coeffs]) for N in polys]
+    coeffs = [Poly(Fp, [int(c / content) for c in N.coeffs]) for N in L.nums]
     if coeffs[0].is_zero():
         raise BadPrime(f"leading coefficient vanishes mod {p}")
-    if int(D.content_primitive()[1].leading()) % p == 0:
+    if int(L.den.content_primitive()[1].leading()) % p == 0:
         raise BadPrime(f"denominator lcm leading coefficient vanishes mod {p}")
-    return DiffOp(Fp, L.basis, [RatFun.from_poly(c) for c in coeffs])
+    return DiffOp._from_cleared(Fp, L.basis, Poly.one(Fp), coeffs)
 
 
 # -- p-curvature ----------------------------------------------------------------
@@ -411,10 +409,10 @@ def reduce_op_mod_p(L, p):
 def companion(L):
     """Companion system (den, M) of L in its own basis; M/den is the companion matrix.
 
-    From `cleared(L)`'s N_0..N_n: den = N_0, M has den on the superdiagonal
+    From L's numerators N_0..N_n: den = N_0, M has den on the superdiagonal
     and last row (-N_n, ..., -N_1).  No gcd is taken.
     """
-    _, N = cleared(L)
+    N = L.nums
     n = len(N) - 1
     den, zero = N[0], Poly.zero(L.field)
     M = [[den if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
@@ -490,7 +488,7 @@ def recurrence_from(L):
     Ld = to_delta(L)
     field = Ld.field
     n = Ld.order
-    _, polys = cleared(Ld)  # decreasing delta order
+    polys = Ld.nums  # decreasing delta order
     span = max(p.degree() for p in polys if not p.is_zero())
     Q = []
     for j in range(span + 1):
@@ -536,8 +534,7 @@ def expand(rec, initial, T):
 def diffop_to_json(L):
     """Operator as a JSON-able dict; coeffs listed by ascending derivative order."""
     coeffs = []
-    for k in range(L.order + 1):
-        c = L.coeff(k)
+    for c in reversed(L.coeffs):
         num, den = _int_poly_pair(c)
         coeffs.append({"num": num, "den": den})
     return {"basis": L.basis, "coeffs": coeffs}

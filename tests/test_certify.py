@@ -427,6 +427,18 @@ def test_assemble_auto_T_for_f2_at_11_is_within_budget(monkeypatch):
     assert asked[-1] == 2 * 2 * 8 * 11**4 + 16 == 468528 <= MAX_T
 
 
+def test_assemble_auto_T_covers_the_all_split():
+    # at p = 521 the orbit shows at the 512 p probe, but A_{l,l} splits Lambda f, which needs
+    # (2d - 1) p + 1 = 522 of its terms (span d = 1): T = p^2 + 1, past the probe
+    cert = assemble_certificate(CAT["g2"], 521)
+    assert (cert.level, cert.height, cert.verified_to) == (1, 260, 521**2 + 1)
+
+
+def test_assemble_explicit_T_below_the_all_split_names_the_T_needed():
+    with pytest.raises(ReconstructionFailed, match="needs T >= 1370 series terms, got T = 1200"):
+        assemble_certificate(CAT["g2"], 37, T=1200)
+
+
 def test_certificate_soundness_independent_reverify():
     # re-verify emitted certificates against freshly expanded series
     for name, p, T in (("f1", 3, 500), ("f2", 3, 800), ("f2", 5, 800), ("apery", 5, 600)):

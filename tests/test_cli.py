@@ -16,6 +16,7 @@ from lucascert import (
     series_over_q,
     verify_certificate,
 )
+from lucascert.catalog import MAX_Q_T
 from lucascert.certify import MAX_T
 from lucascert.cli import MAX_CASEBOOK_P, MAX_CURVATURE_P, MAX_EXPAND_T, MAX_SUM_EXPAND_T, build_parser, main
 
@@ -201,6 +202,17 @@ def test_certify_over_expansion_budget_is_input_error(capsys):
     assert f"T = {MAX_T + 1}" in capsys.readouterr().err
 
 
+def test_certify_apery_over_q_route_budget_is_input_error(capsys):
+    # apery has no digit route: the 512-term probe finds no orbit at p = 1009, and the next
+    # probe, 512 p terms over Q, would need far more memory than the host has
+    start = time.perf_counter()
+    assert main(["certify", "apery", "-p", "1009"]) == 1
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert f"'apery' needs T = {512 * 1009} terms over Q" in err and f"MAX_Q_T = {MAX_Q_T}" in err
+    assert "Traceback" not in err
+
+
 def test_certify_bad_prime(capsys):
     assert main(["certify", "f2", "-p", "2", "--T", "128"]) == 1
 
@@ -327,6 +339,17 @@ for argv in json.loads(sys.argv[1]):
         assert main(argv) == 0, argv
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
+
+
+def test_import_loads_factoring():
+    # Poly.factor imports factoring only when called; the package loads it up front, so that a
+    # tool that wraps the loaded modules (bench/tracing.py) sees it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lucascert.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, lucascert; print('lucascert.factoring' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.split() == ["True"]
 
 
 def test_cli_runs_import_only_the_standard_library(tmp_path):

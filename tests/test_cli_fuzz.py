@@ -63,7 +63,9 @@ def _argv(rng, files):
         "--catalog": lambda: files[often(["catalog"], sorted(files))],
         "--out": lambda: rng.choice([files["dir"], files["dir"] + "/out.txt"]),
         "--format": lambda: often(["text", "json", "csv"], GARBAGE),
-        "--primes": lambda: often(["3", "5", "3,5", "2"], GARBAGE + ["4", "1", "-3", "3,,5", "2,x"]),
+        # the large primes catch a loop sized by p without a budget
+        "--primes": lambda: often(["3", "5", "3,5", "2", "1009", "10007"],
+                                  GARBAGE + ["4", "1", "-3", "3,,5", "2,x"]),
         "--bound": lambda: often(["20", "100"], GARBAGE + [str(rng.randint(-3, 200)), "100000001"]),
     }
     if command == "expand":
@@ -73,8 +75,9 @@ def _argv(rng, files):
     elif command == "certify":
         argv = [command, rng.choice(SERIES), "--T", T()]
         if rng.random() < 0.9:
-            argv += ["-p", often(["3", "5", "7", "13", "37"], GARBAGE + [str(rng.randint(-3, 40))])]
-    else:  # casebook, always on small primes
+            argv += ["-p", often(["3", "5", "7", "13", "37", "1009", "10007"],
+                                 GARBAGE + [str(rng.randint(-3, 40))])]
+    else:  # casebook
         argv = [command] + rng.sample(CASES, rng.randint(0, 2)) + ["--primes", values["--primes"]()]
     for _ in range(rng.randint(0, 2)):
         flag = rng.choice(OWN[command]) if rng.random() < 0.8 else rng.choice(FOREIGN)

@@ -19,7 +19,6 @@ from lucascert import (
     Poly,
     RatFun,
     assemble_certificate,
-    cleared,
     companion,
     default_catalog,
     diffop_from_json,
@@ -636,9 +635,10 @@ def test_cleared_is_monic_common_denominator():
             continue
         for L in (to_d(entry.operator), to_delta(entry.operator)):
             # the monic normalization has proper denominators to clear
-            monic = L.scale(RatFun(Poly.one(QQ), L.coeffs[0].num))
+            lead_inv = RatFun(Poly.one(QQ), L.coeffs[0].num)
+            monic = DiffOp(QQ, L.basis, [c * lead_inv for c in L.coeffs])
             for M, degree in ((L, 0), (monic, L.coeffs[0].num.degree())):
-                D, polys = cleared(M)
+                D, polys = M.den, M.nums
                 assert D.leading() == 1 and D.degree() == degree
                 assert len(polys) == len(M.coeffs)
                 for N, c in zip(polys, M.coeffs):
