@@ -183,16 +183,20 @@ def _lucas(n, k, p):
 
 
 def cy210_mod(n, p):
-    """cy210_term(n) mod p, every binomial by Lucas digits."""
-    s = sum((-1) ** k * lucas_binom(2 * n, k, p) ** 4 for k in range(2 * n + 1))
-    return lucas_binom(2 * n, n, p) * s % p
+    """cy210_term(n) mod p, every binomial by Lucas digits; p is checked once."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    s = sum((-1) ** k * _lucas(2 * n, k, p) ** 4 for k in range(2 * n + 1))
+    return _lucas(2 * n, n, p) * s % p
 
 
 def cy26_mod(n, p):
-    """cy26_term(n) mod p, every binomial by Lucas digits."""
-    s = sum(lucas_binom(n, k, p) ** 2 * lucas_binom(n + k, k, p) * lucas_binom(2 * k, n, p)
+    """cy26_term(n) mod p, every binomial by Lucas digits; p is checked once."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    s = sum(_lucas(n, k, p) ** 2 * _lucas(n + k, k, p) * _lucas(2 * k, n, p)
             for k in range(n + 1))
-    return lucas_binom(2 * n, n, p) * s % p
+    return _lucas(2 * n, n, p) * s % p
 
 
 def p_lucas_check(g, p, M):

@@ -132,7 +132,7 @@ def split_pade(f_p, d, p, normalize=True):
         raise ValueError("series must live over F_p")
     if d < 1:
         raise ValueError("recurrence span must be >= 1")
-    if f_p.field.is_zero(f_p[0]):
+    if not f_p[0]:
         raise ReconstructionFailed("split requires f(0) != 0")
     sections = [f_p.cartier(p, r) for r in range(p)]
     s0 = sections[0]
@@ -180,7 +180,7 @@ def pade_ratio(num_series, den_series, deg_bound):
     T = min(len(num_series), len(den_series))
     if T < 2 * deg_bound + 1:
         raise ValueError(f"reconstruction at degree {deg_bound} needs order {2 * deg_bound + 1}, have {T}")
-    if field.is_zero(den_series[0]):
+    if not den_series[0]:
         raise ValueError("rational reconstruction needs den(0) != 0")
     k = min(2 * deg_bound + 2, T)
     s = num_series.truncate(k).div_poly(den_series.truncate(k).poly())
@@ -215,7 +215,7 @@ def pade_kernel(num_series, den_series, deg_bound):
             row.append(den_series[m - i] if 0 <= m - i < T else field.zero)
         for i in range(deg_bound + 1):  # -v coefficients multiply num_series
             c = num_series[m - i] if 0 <= m - i < T else field.zero
-            row.append(field.neg(c))
+            row.append(-c)
         rows.append(row)
     basis = kernel_basis(field, rows, cols)
     if not basis:
@@ -255,10 +255,10 @@ def split_elimination(f_p, d, p, normalize=True):
     field = f_p.field
     if not isinstance(field, PrimeField) or field.p != p:
         raise ValueError("series must live over F_p")
-    while not f_p.coeffs or field.is_zero(f_p[0]):
+    while not f_p.coeffs or not f_p[0]:
         if len(f_p) < p:
             raise ReconstructionFailed("series vanished under z^p stripping")
-        if any(not field.is_zero(c) for c in f_p.coeffs[:p]):
+        if any(f_p.coeffs[:p]):
             raise ReconstructionFailed("f(0) = 0 but the first p coefficients are not all zero")
         f_p = TruncSeries(field, f_p.coeffs[p:])
         if f_p.is_zero():
@@ -276,16 +276,16 @@ def split_elimination(f_p, d, p, normalize=True):
         raise ReconstructionFailed("window vectors are linearly independent")
     beta = basis[0]
     for cand in basis:
-        if not field.is_zero(cand[0]):  # prefer u(0) != 0 so that P(0) != 0
+        if cand[0]:  # prefer u(0) != 0 so that P(0) != 0
             beta = cand
             break
     u = Poly.zero(field)
     for i, b in enumerate(beta):
-        if not field.is_zero(b):
+        if b:
             u = u + Poly.constant(field, b).shift(i * p)
     g = f_p.mul_poly(u)
     gap = [g[m] for m in range(p * d, min(p * (d + 1), len(g)))]
-    if any(not field.is_zero(c) for c in gap):
+    if any(gap):
         raise ReconstructionFailed("gap argument failed: window not annihilated")
     P = Poly(field, g.coeffs[: p * d])
     if P.is_zero():
@@ -303,8 +303,8 @@ def _finish_split(f_p, P, d, p, normalize):
     """
     field = f_p.field
     if normalize:
-        c0 = P.eval(field.zero)
-        if not field.is_zero(c0):
+        c0 = P[0]
+        if c0:
             P = P.scale(field.inv(c0))
         else:
             P = P.scale(field.inv(P.coeffs[P.valuation()]))

@@ -323,7 +323,7 @@ def infinity_transform(L):
     # z^e P(1/z) for every coefficient: one common factor z^e keeps the quotients N_i / D
     e = max(P.degree() for P in (D, *N))
     D, *N = [P.reverse().shift(e - P.degree()) for P in (D, *N[::-1])]
-    minus_z2 = Poly(field, (field.zero, field.zero, field.neg(field.one)))
+    minus_z2 = Poly(field, (0, 0, -1))
     return _rewrite(field, D_BASIS, D, N, _powers(minus_z2, Ld.order))
 
 
@@ -341,7 +341,8 @@ def indicial_at_zero(L):
     if _pole_at_zero(N):
         raise NotSeriesExpandable("delta coefficient has a pole at 0")
     field, v = L.field, N[0].valuation()
-    return Poly(field, [field.div(P[v], N[0][v]) for P in reversed(N)])
+    inv = field.inv(N[0][v])
+    return Poly(field, [P[v] * inv for P in reversed(N)])
 
 
 def is_mom(L):
@@ -370,7 +371,7 @@ def exponents_at_zero(L):
     roots = []
     for fac, mult in factors:
         if fac.degree() == 1:
-            root = L.field.neg(fac.coeffs[0])
+            root = L.field.coerce(-fac.coeffs[0])
             roots.extend([root] * mult)
     return roots
 
@@ -514,17 +515,17 @@ def expand(rec, initial, T):
     field = rec.polys[0].field
     coeffs = [field.coerce(v) for v in initial][:T]
     for m in range(len(coeffs), T):
-        q0 = rec.polys[0].eval(field.coerce(m))
-        if field.is_zero(q0):
+        q0 = rec.polys[0].eval(m)
+        if not q0:
             raise LeadingZero(m)
         acc = field.zero
         for j in range(1, rec.span + 1):
             if m - j < 0:
                 break
-            qj = rec.polys[j].eval(field.coerce(m - j))
-            if not field.is_zero(qj):
-                acc = field.add(acc, field.mul(qj, coeffs[m - j]))
-        coeffs.append(field.div(field.neg(acc), q0))
+            qj = rec.polys[j].eval(m - j)
+            if qj:
+                acc += qj * coeffs[m - j]
+        coeffs.append(field.coerce(-acc * field.inv(q0)))
     return TruncSeries(field, coeffs)
 
 
@@ -576,7 +577,7 @@ def diffop_from_json(data, field=QQ):
     raw = data.get("coeffs")
     if not isinstance(raw, list) or not raw:
         raise ParseError("coeffs must be a nonempty array", location="coeffs")
-    coeffs = []
+    pairs = []
     for k, entry in enumerate(raw):
         loc = f"coeffs[{k}]"
         if not isinstance(entry, dict) or "num" not in entry:
@@ -594,9 +595,16 @@ def diffop_from_json(data, field=QQ):
             raise ParseError(f"bad coefficient: {exc}", location=loc) from exc
         if dpoly.is_zero():
             raise ParseError("zero denominator", location=loc)
-        coeffs.append(RatFun(npoly, dpoly))
-    while len(coeffs) > 1 and coeffs[-1].is_zero():
-        coeffs.pop()
-    if coeffs[-1].is_zero():
+        pairs.append((npoly, dpoly))
+    while len(pairs) > 1 and pairs[-1][0].is_zero():
+        pairs.pop()
+    if pairs[-1][0].is_zero():
         raise ParseError("operator is zero", location="coeffs")
-    return DiffOp(field, basis, list(reversed(coeffs)))
+    # straight into the stored form: den = lcm of the nonconstant denominators,
+    # N_k = num_k (den / den_k); _from_cleared divides out what they share
+    den = Poly.one(field)
+    for _, dpoly in pairs:
+        if dpoly.degree() > 0:
+            den = den.lcm(dpoly)
+    nums = [npoly * den.exact_div(dpoly) for npoly, dpoly in reversed(pairs)]
+    return DiffOp._from_cleared(field, basis, den, nums)

@@ -1,10 +1,13 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Elements are plain Python objects -- `fractions.Fraction` over Q and
-reduced int residues in [0, p) over F_p -- so that the hot loops stay
-free of wrapper overhead.  A field object carries the arithmetic and is
-attached to every Poly / TruncSeries so mixed-field operations fail loudly.
-All values are immutable; field objects are stateless and hashable.
+Elements are plain Python objects in canonical form: a `fractions.Fraction`
+over Q, an int residue in [0, p) over F_p.  Arithmetic on them is Python's
+own `+ - *`; a zero test is truthiness, and equality of canonical elements
+is equality of values.  A field object keeps only what the elements cannot
+say for themselves: `zero`, `one`, `char`, `coerce` (any int or Fraction
+into canonical form, the one place a value is reduced) and `inv`.  It is
+attached to every Poly / TruncSeries so that mixed-field operations fail
+loudly.  Field objects are stateless and hashable.
 """
 
 from fractions import Fraction
@@ -59,9 +62,6 @@ class RationalField:
     one = Fraction(1)
     char = 0
 
-    def __call__(self, value):
-        return Fraction(value)
-
     def coerce(self, value):
         if isinstance(value, Fraction):
             return value
@@ -69,28 +69,10 @@ class RationalField:
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
         return 1 / a
-
-    def div(self, a, b):
-        return a / b
-
-    def is_zero(self, a):
-        return a == 0
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -124,9 +106,6 @@ class PrimeField:
             cls._cache[p] = field
         return field
 
-    def __call__(self, value):
-        return self.coerce(value)
-
     def coerce(self, value):
         if isinstance(value, int):
             return value % self.p
@@ -134,28 +113,10 @@ class PrimeField:
             return reduce_rat_mod_p(value, self.p)
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

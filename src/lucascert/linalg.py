@@ -5,9 +5,14 @@ from operator import add, mul
 
 
 def rref(field, rows):
-    """Reduced row echelon form in place; returns the list of pivot columns."""
+    """Reduced row echelon form in place; returns the list of pivot columns.
+
+    The entries are coerced first, and every row operation is coerced where
+    it is made, so the rows hold canonical elements throughout.
+    """
     if not rows:
         return []
+    rows[:] = [[field.coerce(v) for v in row] for row in rows]
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -16,21 +21,19 @@ def rref(field, rows):
             break
         pivot = None
         for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][c]):
+            if rows[i][c]:
                 pivot = i
                 break
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
+        rows[r] = [field.coerce(inv * v) for v in rows[r]]
         for i in range(len(rows)):
-            if i == r or field.is_zero(rows[i][c]):
-                continue
             factor = rows[i][c]
-            rows[i] = [
-                field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], rows[r])
-            ]
+            if i == r or not factor:
+                continue
+            rows[i] = [field.coerce(v - factor * w) for v, w in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return pivots
@@ -38,7 +41,7 @@ def rref(field, rows):
 
 def kernel_basis(field, rows, ncols):
     """Basis of the right kernel of the matrix (list of coefficient vectors)."""
-    mat = [list(row) for row in rows if any(not field.is_zero(v) for v in row)]
+    mat = list(rows)
     pivots = rref(field, mat)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -47,7 +50,7 @@ def kernel_basis(field, rows, ncols):
         vec = [field.zero] * ncols
         vec[fc] = field.one
         for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(mat[r][fc])
+            vec[pc] = field.coerce(-mat[r][fc])
         basis.append(vec)
     return basis
 

@@ -1,7 +1,13 @@
 """Dense univariate polynomials over Q or F_p.
 
 Coefficients are stored lowest degree first in a tuple with no trailing
-zeros; the zero polynomial is the empty tuple.  Multiplication over a
+zeros; the zero polynomial is the empty tuple.  Every stored coefficient
+is canonical (see `fields`): the constructor coerces what it is given, and
+is the one place results are reduced.  The arithmetic below therefore runs
+on Python's `+ - *` and hands unreduced lists to the constructor; only a
+loop that reads back an intermediate value (the leading remainder term in
+`divmod`, the Horner accumulator in `eval`, the running product in
+`resultant`) coerces it, once, where it is read.  Multiplication over a
 prime field packs coefficients into a single big integer (Kronecker
 substitution) so that products of the large polynomial powers showing up
 in certificate heights stay cheap.
@@ -28,8 +34,8 @@ class Poly:
 
     def __init__(self, field, coeffs=()):
         self.field = field
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and field.is_zero(cs[-1]):
+        cs = list(map(field.coerce, coeffs))
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -73,7 +79,7 @@ class Poly:
     def valuation(self):
         """Order of vanishing at 0; -1 for the zero polynomial."""
         for i, c in enumerate(self.coeffs):
-            if not self.field.is_zero(c):
+            if c:
                 return i
         return -1
 
@@ -98,18 +104,16 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+            out[i] += c
+        return Poly(self.field, out)
 
     def __neg__(self):
-        f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
+        return Poly(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -122,9 +126,9 @@ class Poly:
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
-        if f.is_zero(c):
+        if not c:
             return Poly.zero(f)
-        return Poly(f, [f.mul(c, a) for a in self.coeffs])
+        return Poly(f, [c * a for a in self.coeffs])
 
     def shift(self, k):
         """Multiply by z^k."""
@@ -157,13 +161,12 @@ class Poly:
             return Poly.zero(f), Poly(f, rem)
         quot = [f.zero] * (len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if f.is_zero(c):
+            q = f.coerce(rem[i] * inv_lb)
+            if not q:
                 continue
-            q = f.mul(c, inv_lb)
             quot[i - db] = q
             for j, bc in enumerate(other.coeffs):
-                rem[i - db + j] = f.sub(rem[i - db + j], f.mul(q, bc))
+                rem[i - db + j] -= q * bc
         return Poly(f, quot), Poly(f, rem)
 
     def __floordiv__(self, other):
@@ -184,15 +187,14 @@ class Poly:
         return self.scale(self.field.inv(self.leading()))
 
     def derivative(self):
-        f = self.field
-        return Poly(f, [f.mul(f.coerce(i), c) for i, c in enumerate(self.coeffs)][1:])
+        return Poly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x):
         f = self.field
         x = f.coerce(x)
         acc = f.zero
         for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
+            acc = f.coerce(acc * x + c)
         return acc
 
     def compose_power(self, k):
@@ -284,11 +286,11 @@ class Poly:
             r = a % b
             sign = -1 if a.degree() * b.degree() % 2 else 1
             e = a.degree() - r.degree()
-            out = f.mul(out, f.coerce(sign * b.leading() ** e))
+            out = f.coerce(out * sign * b.leading() ** e)
             a, b = b, r
         if a.is_zero() or b.is_zero():
             return f.zero
-        return f.mul(out, f.coerce(b.leading() ** a.degree()))
+        return f.coerce(out * b.leading() ** a.degree())
 
     def discriminant(self):
         """disc = (-1)^(d(d-1)/2) Res(p, p') / lc(p); 1 for degree <= 1."""
@@ -297,8 +299,7 @@ class Poly:
             return self.field.one
         sign = -1 if (d * (d - 1) // 2) % 2 else 1
         res = self.resultant(self.derivative())
-        out = self.field.div(res, self.leading())
-        return self.field.neg(out) if sign < 0 else out
+        return self.field.coerce(sign * res * self.field.inv(self.leading()))
 
     # -- factorization ------------------------------------------------
 
@@ -369,7 +370,7 @@ def format_poly(p, var="z"):
         return "0"
     parts = []
     for i, c in enumerate(p.coeffs):
-        if p.field.is_zero(c):
+        if not c:
             continue
         if i == 0:
             parts.append(str(c))
@@ -384,8 +385,10 @@ def convolve(field, a, b, n):
     """The first n coefficients of the product of coefficient sequences a and b.
 
     The one product loop of the library, shared by Poly and TruncSeries.
-    Over F_p, operands that are long enough go through Kronecker
-    substitution; everything else is schoolbook, skipping zero terms.
+    a and b hold canonical coefficients.  Over F_p, operands that are long
+    enough go through Kronecker substitution; everything else is
+    schoolbook, skipping zero terms and adding up the products unreduced:
+    its output is for a Poly or TruncSeries constructor to reduce.
     """
     a, b = a[:n], b[:n]
     if not a or not b:
@@ -393,16 +396,15 @@ def convolve(field, a, b, n):
     if isinstance(field, PrimeField) and len(a) * len(b) >= _KRONECKER_CUTOFF * (len(a) + len(b)):
         out = _kronecker_mul(a, b, field.p, n)
         return out + [0] * (n - len(out))
-    add, mul = field.add, field.mul
-    terms = [(j, y) for j, y in enumerate(b) if not field.is_zero(y)]
+    terms = [(j, y) for j, y in enumerate(b) if y]
     out = [field.zero] * n
     for i, x in enumerate(a):
-        if field.is_zero(x):
+        if not x:
             continue
         for j, y in terms:
             if i + j >= n:
                 break
-            out[i + j] = add(out[i + j], mul(x, y))
+            out[i + j] += x * y
     return out
 
 

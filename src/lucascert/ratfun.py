@@ -74,7 +74,7 @@ class RatFun:
         return not self.is_zero()
 
     def has_pole_at_zero(self):
-        return self.field.is_zero(self.den.eval(self.field.zero))
+        return not self.den[0]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -131,11 +131,6 @@ class RatFun:
         if isinstance(other, Poly):
             return RatFun.from_poly(other)
         return RatFun.constant(self.field, other)
-
-    def derivative(self):
-        """d/dz via the quotient rule, reduced."""
-        n, d = self.num, self.den
-        return RatFun(n.derivative() * d - n * d.derivative(), d * d)
 
     def __repr__(self):
         if self.is_polynomial():

@@ -1,9 +1,14 @@
 """Truncated power series, the carrier of every mod-p computation.
 
-A TruncSeries stores exactly T coefficients (orders 0..T-1) over Q or F_p.
-Arithmetic between two series truncates to the shorter operand; the library
-never extends a series silently.  Equality is always "to order T" and the
-comparison helpers make the certified order explicit.
+A TruncSeries stores exactly T coefficients (orders 0..T-1) over Q or F_p,
+each canonical (see `fields`): the constructor coerces what it is given and
+is the one place results are reduced, so the arithmetic runs on Python's
+`+ - *`, and comparing canonical coefficients is comparing values.  Only
+`div_poly`, whose recurrence reads back its own output, coerces each term
+where it is produced.  Arithmetic between two series truncates to the
+shorter operand; the library never extends a series silently.  Equality is
+always "to order T" and the comparison helpers make the certified order
+explicit.
 
 Includes the section/Cartier operator family: cartier(f, p, r) extracts the
 coefficients of index r mod p, compose_power substitutes z -> z^(p^k), and
@@ -22,7 +27,7 @@ class TruncSeries:
 
     def __init__(self, field, coeffs):
         self.field = field
-        self.coeffs = tuple(field.coerce(c) for c in coeffs)
+        self.coeffs = tuple(map(field.coerce, coeffs))
 
     @classmethod
     def zero(cls, field, T):
@@ -38,10 +43,6 @@ class TruncSeries:
         cs += [p.field.zero] * (T - len(cs))
         return cls(p.field, cs)
 
-    @property
-    def T(self):
-        return len(self.coeffs)
-
     def __getitem__(self, n):
         return self.coeffs[n]
 
@@ -54,7 +55,7 @@ class TruncSeries:
         return TruncSeries(self.field, self.coeffs[:T])
 
     def is_zero(self):
-        return all(self.field.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def poly(self):
         """The coefficients as a polynomial (trailing zeros dropped)."""
@@ -68,19 +69,14 @@ class TruncSeries:
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
-        T = min(len(self.coeffs), len(other.coeffs))
-        return TruncSeries(f, [f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)][:T])
+        return TruncSeries(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check(other)
-        f = self.field
-        T = min(len(self.coeffs), len(other.coeffs))
-        return TruncSeries(f, [f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)][:T])
+        return TruncSeries(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        f = self.field
-        return TruncSeries(f, [f.neg(c) for c in self.coeffs])
+        return TruncSeries(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
@@ -98,7 +94,7 @@ class TruncSeries:
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
-        return TruncSeries(f, [f.mul(c, a) for a in self.coeffs])
+        return TruncSeries(f, [c * a for a in self.coeffs])
 
     def __pow__(self, e):
         result = TruncSeries.one(self.field, len(self.coeffs))
@@ -119,7 +115,7 @@ class TruncSeries:
         if p.field != self.field:
             raise TypeError("series/polynomial fields do not match")
         f = self.field
-        if p.is_zero() or f.is_zero(p.coeffs[0]):
+        if not p[0]:
             raise ZeroDivisionError("divisor constant term is zero")
         inv0 = f.inv(p.coeffs[0])
         T = len(self.coeffs)
@@ -128,9 +124,9 @@ class TruncSeries:
             acc = self.coeffs[m]
             for j in range(1, min(len(p.coeffs), m + 1)):
                 pj = p.coeffs[j]
-                if not f.is_zero(pj):
-                    acc = f.sub(acc, f.mul(pj, out[m - j]))
-            out.append(f.mul(inv0, acc))
+                if pj:
+                    acc -= pj * out[m - j]
+            out.append(f.coerce(inv0 * acc))
         return TruncSeries(f, out)
 
     # -- section operators -------------------------------------------------
@@ -168,8 +164,7 @@ class TruncSeries:
 
     def delta(self):
         """Euler operator z d/dz: coefficient n maps to n * a(n)."""
-        f = self.field
-        return TruncSeries(f, [f.mul(f.coerce(n), c) for n, c in enumerate(self.coeffs)])
+        return TruncSeries(self.field, [n * c for n, c in enumerate(self.coeffs)])
 
     # -- comparisons ---------------------------------------------------------
 
@@ -181,18 +176,13 @@ class TruncSeries:
             if T > limit:
                 raise ValueError(f"cannot compare to order {T}, only {limit} known")
             limit = T
-        f = self.field
-        return all(
-            f.is_zero(f.sub(a, b))
-            for a, b in zip(self.coeffs[:limit], other.coeffs[:limit])
-        )
+        return self.coeffs[:limit] == other.coeffs[:limit]
 
     def first_difference(self, other):
         """Index of the first differing coefficient, or None up to min length."""
         self._check(other)
-        f = self.field
         for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs)):
-            if not f.is_zero(f.sub(a, b)):
+            if a != b:
                 return i
         return None
 

@@ -1,0 +1,252 @@
+"""Derandomized property test of the coefficient arithmetic on canonical elements.
+
+Poly, TruncSeries and kernel_basis run on Python's `+ - *` and rely on
+their constructors (and a few read-back points) to reduce.  Each operation
+here is compared with plain-list reference arithmetic: an explicit `% p`
+and `pow(., -1, p)` over F_p, `Fraction` arithmetic over Q.  Inputs are
+passed to the public constructors non-canonical (negative ints, ints >= p,
+Fractions), operands are empty, of length 1, and on both sides of the
+Kronecker cutoff, and every result must hold canonical coefficients only.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from lucascert import GF, QQ, Poly, PrimeField, RationalField, TruncSeries
+from lucascert.linalg import kernel_basis
+from lucascert.poly import _KRONECKER_CUTOFF
+
+FIELDS = [GF(2), GF(3), GF(37), GF(2**31 - 1), QQ]
+LENGTHS = (0, 1, 2, 3, 4, 5, 7, 12, 40)
+
+
+# -- reference arithmetic: p is None over Q --------------------------------------------
+
+
+def red(v, p):
+    if p is None:
+        return Fraction(v)
+    v = Fraction(v)
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
+def inv(v, p):
+    return 1 / Fraction(v) if p is None else pow(v, -1, p)
+
+
+def strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_mul(a, b, p):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = red(out[i + j] + x * y, p)
+    return out
+
+
+def ref_divmod(a, b, p):
+    rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    lb_inv = inv(b[-1], p)
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        q = red(rem[i] * lb_inv, p)
+        quot[i - len(b) + 1] = q
+        for j, y in enumerate(b):
+            rem[i - len(b) + 1 + j] = red(rem[i - len(b) + 1 + j] - q * y, p)
+    return strip(quot), strip(rem)
+
+
+def ref_det(rows, p):
+    rows, det = [list(r) for r in rows], red(1, p)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            return red(0, p)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = red(-det, p)
+        det = red(det * rows[col][col], p)
+        for r in range(col + 1, len(rows)):
+            factor = red(rows[r][col] * inv(rows[col][col], p), p)
+            rows[r] = [red(x - factor * y, p) for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def ref_resultant(a, b, p):
+    """The Sylvester determinant; the constant's power when one side has degree 0."""
+    if not a or not b:
+        return red(0, p)
+    m, n = len(a) - 1, len(b) - 1
+    if m == 0 or n == 0:
+        return red(a[0] ** n if m == 0 else b[0] ** m, p)
+    ra, rb = a[::-1], b[::-1]
+    rows = [[0] * i + ra + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + rb + [0] * (m - 1 - i) for i in range(m)]
+    return ref_det(rows, p)
+
+
+def ref_rank(rows, p):
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = red(rows[r][col] * inv(rows[rank][col], p), p)
+                rows[r] = [red(x - factor * y, p) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+# -- inputs --------------------------------------------------------------------------------
+
+
+def raw_value(rng, p):
+    """A non-canonical representative: a negative int, an int >= p or a p-local Fraction."""
+    bound = 3 * (p or 50)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 3:
+        den = rng.randrange(1, 30)
+        while p is not None and den % p == 0:
+            den += 1
+        return Fraction(rng.randrange(-bound, bound), den)
+    return rng.randrange(-bound, bound)
+
+
+def raw_list(rng, p, n):
+    return [raw_value(rng, p) for _ in range(n)]
+
+
+def canonical(field, cs):
+    if isinstance(field, PrimeField):
+        return all(type(c) is int and 0 <= c < field.p for c in cs)
+    return all(type(c) is Fraction for c in cs)
+
+
+def check_poly(P, want):
+    assert canonical(P.field, P.coeffs) and (not P.coeffs or P.coeffs[-1])
+    assert list(P.coeffs) == want
+
+
+def check_series(S, want):
+    assert canonical(S.field, S.coeffs)
+    assert list(S.coeffs) == want
+
+
+def p_of(field):
+    return field.p if isinstance(field, PrimeField) else None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_poly_arithmetic_matches_reference(field):
+    p = p_of(field)
+    rng = random.Random(1000 + (p or 0) % 1000)
+    sides = set()
+    for la in LENGTHS:
+        for lb in LENGTHS:
+            a_raw, b_raw = raw_list(rng, p, la), raw_list(rng, p, lb)
+            a, b = [red(v, p) for v in a_raw], [red(v, p) for v in b_raw]
+            A, B = Poly(field, a_raw), Poly(field, b_raw)
+            check_poly(A, strip(a))
+            n = max(la, lb)
+            pad = lambda cs: cs + [0] * (n - len(cs))
+            check_poly(A + B, strip(red(x + y, p) for x, y in zip(pad(a), pad(b))))
+            check_poly(A - B, strip(red(x - y, p) for x, y in zip(pad(a), pad(b))))
+            check_poly(-A, strip(red(-x, p) for x in a))
+            check_poly(A * B, strip(ref_mul(strip(a), strip(b), p)))
+            if A and B:
+                sides.add(len(A.coeffs) * len(B.coeffs) >= _KRONECKER_CUTOFF * (len(A.coeffs) + len(B.coeffs)))
+            c = raw_value(rng, p)
+            check_poly(A.scale(c), strip(red(red(c, p) * x, p) for x in a))
+            check_poly(A.derivative(), strip(red(i * x, p) for i, x in enumerate(a))[1:])
+            x = raw_value(rng, p)
+            want = red(0, p)
+            for coef in reversed(a):
+                want = red(want * red(x, p) + coef, p)
+            got = A.eval(x)
+            assert canonical(field, [got]) and got == want
+            if B:
+                q, r = A.divmod(B)
+                wq, wr = ref_divmod(strip(a), strip(b), p)
+                check_poly(q, wq)
+                check_poly(r, wr)
+            if la <= 7 and lb <= 7:
+                got = A.resultant(B)
+                assert canonical(field, [got]) and got == ref_resultant(strip(a), strip(b), p)
+    assert sides == {False, True}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_series_arithmetic_matches_reference(field):
+    p = p_of(field)
+    rng = random.Random(2000 + (p or 0) % 1000)
+    sides = set()
+    for la in LENGTHS:
+        for lb in LENGTHS:
+            a_raw, b_raw = raw_list(rng, p, la), raw_list(rng, p, lb)
+            a, b = [red(v, p) for v in a_raw], [red(v, p) for v in b_raw]
+            S, U = TruncSeries(field, a_raw), TruncSeries(field, b_raw)
+            check_series(S, a)
+            check_series(S + U, [red(x + y, p) for x, y in zip(a, b)])
+            check_series(S - U, [red(x - y, p) for x, y in zip(a, b)])
+            check_series(-S, [red(-x, p) for x in a])
+            T = min(la, lb)
+            check_series(S * U, (ref_mul(a, b, p) + [red(0, p)] * T)[:T])
+            P = Poly(field, b_raw)
+            check_series(S.mul_poly(P), (ref_mul(a, strip(b), p) + [red(0, p)] * la)[:la])
+            lp = min(la, len(P.coeffs))
+            if la and lp:
+                sides.add(la * lp >= _KRONECKER_CUTOFF * (la + lp))
+            check_series(S.delta(), [red(n * x, p) for n, x in enumerate(a)])
+            # the quotient times the divisor gives the dividend back
+            divisor = Poly(field, [rng.randrange(1, p or 50)] + b_raw)
+            Q = S.div_poly(divisor)
+            assert canonical(field, Q.coeffs) and len(Q) == la
+            assert (ref_mul(list(Q.coeffs), list(divisor.coeffs), p) + [0] * la)[:la] == a
+            # equal residues from different raw values; then one coefficient changed
+            twin = [v + rng.randrange(-3, 4) * (p or 0) for v in a_raw]
+            assert S.eq_to_order(TruncSeries(field, twin)) and S.first_difference(TruncSeries(field, twin)) is None
+            if la:
+                k = rng.randrange(la)
+                twin[k] += 1
+                other = TruncSeries(field, twin)
+                assert not S.eq_to_order(other) and S.first_difference(other) == k
+                assert S.eq_to_order(other, k)
+    assert sides == {False, True}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_kernel_basis_matches_reference(field):
+    p = p_of(field)
+    rng = random.Random(3000 + (p or 0) % 1000)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(0, 6), rng.randrange(1, 7)
+        rows = [raw_list(rng, p, ncols) for _ in range(nrows)]
+        if rows and rng.random() < 0.5:  # a dependent row: a multiple of another, plus p
+            k, c = rng.randrange(len(rows)), rng.randrange(-5, 6)
+            rows.append([c * v + (p or 0) for v in rows[k]])
+        canon = [[red(v, p) for v in row] for row in rows]
+        basis = kernel_basis(field, rows, ncols)
+        assert len(basis) == ncols - ref_rank(canon, p)
+        for vec in basis:
+            assert len(vec) == ncols and canonical(field, vec)
+            for row in canon:
+                assert red(sum(x * y for x, y in zip(row, vec)), p) == 0
+        if basis:
+            assert ref_rank(basis, p) == len(basis)
+
+
+def test_fields_keep_only_coerce_and_inv():
+    for cls in (RationalField, PrimeField):
+        for name in ("add", "sub", "mul", "neg", "div", "is_zero", "__call__"):
+            assert name not in vars(cls), (cls, name)

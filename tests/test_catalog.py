@@ -18,7 +18,7 @@ from lucascert import (
     series_mod_p,
     series_over_q,
 )
-from lucascert.catalog import apery_numbers, cy26_term, cy210_term
+from lucascert.catalog import apery_numbers, cy26_mod, cy26_term, cy210_mod, cy210_term
 from lucascert.diffop import expand, recurrence_from
 from test_diffop import equals_up_to_factor
 
@@ -167,6 +167,13 @@ def test_series_mod_p_digit_route_rejects_bad_input():
             series_mod_p(CAT["g2"], p, 10)
     with pytest.raises(ValueError):
         series_mod_p(CAT["f2"], 5, 0)
+
+
+@pytest.mark.parametrize("term_mod", [cy210_mod, cy26_mod])
+def test_cy_terms_mod_p_reject_a_non_prime(term_mod):
+    for p in (9, 1, 0):
+        with pytest.raises(ValueError):
+            term_mod(4, p)
 
 
 # -- p-Lucas checks -------------------------------------------------------------------

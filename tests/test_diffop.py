@@ -306,7 +306,7 @@ def _substitute_inverse(a):
 def _infinity_transform_oracle(L):
     Ld = _to_d_oracle(L)
     field, n = Ld.field, Ld.order
-    z2 = Poly(field, (field.zero, field.zero, field.neg(field.one)))  # -z^2
+    z2 = Poly(field, (field.zero, field.zero, field.coerce(-1)))  # -z^2
     # powers[i] = (-z^2 d/dz)^i expanded as sum_j c_j(z) d^j, c_j polynomial
     powers = [[Poly.one(field)]]
     for _ in range(n):
@@ -330,7 +330,7 @@ def _indicial_oracle(L):
     for b in _to_delta_oracle(L).monic_tail():
         if b.has_pole_at_zero():
             raise NotSeriesExpandable("delta coefficient has a pole at 0")
-        coeffs.append(field.div(b.num[0], b.den[0]))
+        coeffs.append(field.coerce(b.num[0] * field.inv(b.den[0])))
     return Poly(field, coeffs[::-1])
 
 
@@ -471,12 +471,18 @@ def _monic_companion(L):
     return rows + [[-tail[n - 1 - j] for j in range(n)]]
 
 
+def _derivative(a):
+    """d/dz of a RatFun by the quotient rule, reduced by a gcd."""
+    n, d = a.num, a.den
+    return RatFun(n.derivative() * d - n * d.derivative(), d * d)
+
+
 def _p_curvature_oracle(Lp):
     """The RatFun iteration A <- A' + A*A_1, each entry reduced by a gcd."""
     A1 = _monic_companion(to_d(Lp))
     A = A1
     for _ in range(Lp.field.p - 1):
-        A = mat_add([[a.derivative() for a in row] for row in A], mat_mul(A, A1))
+        A = mat_add([[_derivative(a) for a in row] for row in A], mat_mul(A, A1))
     return A
 
 
@@ -709,6 +715,38 @@ def test_json_roundtrip():
         back = diffop_from_json(data)
         assert back.basis == L.basis
         assert equals_up_to_factor(back, L)
+
+
+def _json_oracle(data, field):
+    """The operator JSON through the public constructor: one RatFun per coefficient."""
+    coeffs = [RatFun(Poly(field, c["num"]), Poly(field, c.get("den", [1]))) for c in data["coeffs"]]
+    while len(coeffs) > 1 and coeffs[-1].is_zero():
+        coeffs.pop()
+    return DiffOp(field, data["basis"], coeffs[::-1])
+
+
+def test_json_parses_straight_into_the_stored_form(monkeypatch):
+    ops = [e.operator for e in CAT.values() if e.operator is not None]
+    ops += [hypergeometric_fr_operator(r) for r in (2, 3, 4)]
+    catalog = [diffop_to_json(L) for L in ops]
+    # rational denominators that share factors with the numerators and with each other
+    rational = [
+        {"basis": "d", "coeffs": [{"num": [3, 6], "den": [2, 4, 0, 2]}, {"num": [1, 0, -1], "den": [6]},
+                                  {"num": [2, 2], "den": [1, 2, 1]}]},
+        {"basis": "delta", "coeffs": [{"num": [0, 4], "den": [0, 2, 2]}, {"num": [7], "den": [3]},
+                                      {"num": [1, 1], "den": [1, -1]}, {"num": [0], "den": [5, 1]}]},
+        {"basis": "d", "coeffs": [{"num": [1, 2, 1], "den": [3, 3]}, {"num": [0, -1, 1], "den": [0, 1, 1]}]},
+    ]
+    for field in (QQ, GF(7), GF(101)):
+        for data in catalog + rational:
+            assert diffop_from_json(data, field) == _json_oracle(data, field), (field, data)
+    # with every denominator a constant, parsing takes no gcd
+    gcds = []
+    real_gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda a, b: gcds.append(1) or real_gcd(a, b))
+    for data in catalog:
+        diffop_from_json(data)
+    assert gcds == []
 
 
 def test_json_parse_errors():

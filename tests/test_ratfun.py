@@ -91,13 +91,6 @@ def test_height_exact_when_coprime():
     assert hits > 50 and aligned > 20
 
 
-def test_derivative_quotient_rule():
-    # d/dz [ z / (1 - z) ] = 1 / (1-z)^2
-    a = RatFun(to_poly(QQ, [0, 1]), to_poly(QQ, [1, -1]))
-    d = a.derivative()
-    assert d == RatFun(Poly.one(QQ), to_poly(QQ, [1, -1]) ** 2)
-
-
 def test_power_and_division():
     F = GF(5)
     a = RatFun(to_poly(F, [1, 1]), to_poly(F, [1, 2]))

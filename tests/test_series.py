@@ -23,9 +23,9 @@ def series_inverse(f):
     for n in range(1, len(c)):
         acc = F.zero
         for k in range(1, n + 1):
-            if not F.is_zero(c[k]):  # a polynomial divisor is mostly zeros
-                acc = F.add(acc, F.mul(c[k], out[n - k]))
-        out.append(F.neg(F.mul(out[0], acc)))
+            if c[k]:  # a polynomial divisor is mostly zeros
+                acc = F.coerce(acc + c[k] * out[n - k])
+        out.append(F.coerce(-out[0] * acc))
     return TruncSeries(F, out)
 
 
