@@ -184,10 +184,10 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
     for k in range(kmax + 1):
         if p ** (k + 1) > power_cap:
             break
-        exp_num = sum(p**j for j in range(1, k + 2))
-        exp_den = p ** (k + 1) - 1
-        # (P1/P2)^e' P1^(e - e'): Henrici products, no gcd on the large powers
-        Bk = RatFun(P1, P2) ** exp_den * P1 ** (exp_num - exp_den)
+        # B_k = P1^(p d) / P2^((p - 1) d) with d = 1 + p + ... + p^k; its one gcd is in the
+        # Henrici product P1^(p-1)/P2^(p-1) * P1, and a power of a reduced ratio takes none
+        d = (p ** (k + 1) - 1) // (p - 1)
+        Bk = (RatFun(P1, P2) ** (p - 1) * P1) ** d
         expected = p * (p ** (k + 1) - 1) // 2
         heights.append(Bk.height)
         ok_height = Bk.height == expected

@@ -46,7 +46,7 @@ from .errors import (
 from .fields import QQ, PrimeField, is_prime
 from .linalg import kernel_basis, mat_add, mat_mul
 from .poly import Poly
-from .ratfun import RatFun
+from .ratfun import RatFun, common_denominator
 from .series import TruncSeries, ratfun_series
 
 L_BOUND = "L_bound"
@@ -149,14 +149,10 @@ def split_pade(f_p, d, p, normalize=True):
                 raise
             m = exc.index * p + r
             raise ReconstructionFailed(f"section {r} relation fails at index {m} of f", index=m) from exc
-    common = Poly.one(field)
-    for _, v in ratios:
-        common = common.lcm(v)
+    common, nums = common_denominator(field, ratios)
     if common.degree() > d - 1:
         raise ReconstructionFailed("section denominators exceed the span bound")
-    parts = [common]
-    for u, v in ratios:
-        parts.append(u * common.exact_div(v))
+    parts = [common, *nums]
     if any(q.degree() > d - 1 for q in parts):
         raise ReconstructionFailed("section numerators exceed the span bound")
     P = Poly.zero(field)
@@ -194,7 +190,8 @@ def pade_ratio(num_series, den_series, deg_bound):
     if max(u.degree(), v.degree()) + (0 if e is None else T - e) > deg_bound:
         where = "" if e is None else f" (fails at index {e})"
         raise ReconstructionFailed(f"no relation of degree <= {deg_bound}{where}", index=e)
-    return _reduced_pair(u, v)
+    r = RatFun(u, v)
+    return r.num, r.den
 
 
 def pade_kernel(num_series, den_series, deg_bound):
@@ -232,15 +229,8 @@ def pade_kernel(num_series, den_series, deg_bound):
                 break
         else:
             raise ReconstructionFailed("section relation has zero denominator")
-    return _reduced_pair(u, v)
-
-
-def _reduced_pair(u, v):
-    g = u.gcd(v)
-    if g.degree() > 0:
-        u, v = u.exact_div(g), v.exact_div(g)
-    lc = u.field.inv(v.leading())
-    return u.scale(lc), v.scale(lc)
+    r = RatFun(u, v)
+    return r.num, r.den
 
 
 def split_elimination(f_p, d, p, normalize=True):
@@ -535,8 +525,8 @@ def verify_certificate(cert, f_p):
     return True
 
 
-def certificate_from_json(data, p=None):
-    field = PrimeField(p if p is not None else data["p"])
+def certificate_from_json(data):
+    field = PrimeField(data["p"])
     A = RatFun(Poly(field, data["A_num"]), Poly(field, data["A_den"]))
     return Certificate(
         p=data["p"],

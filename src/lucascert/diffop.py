@@ -22,14 +22,12 @@ operator, so MOM tests, good primes and certificates share it.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd as int_gcd, lcm
 
 from .errors import BadPrime, LeadingZero, NotMomAtZero, NotSeriesExpandable, ParseError
 from .fields import QQ, PrimeField, is_prime, primes_upto
 from .linalg import mat_add, mat_mul
-from .poly import Poly, format_poly
-from .ratfun import RatFun
+from .poly import Poly, content, format_poly
+from .ratfun import RatFun, common_denominator
 from .series import TruncSeries
 
 D_BASIS = "d"
@@ -46,10 +44,7 @@ class DiffOp:
         coeffs = [c if isinstance(c, RatFun) else RatFun.from_poly(c) for c in coeffs]
         if any(c.field != field for c in coeffs):
             raise TypeError("coefficient fields do not match operator field")
-        den = Poly.one(field)
-        for c in coeffs:
-            den = den.lcm(c.den)
-        self._store(field, basis, den, [c.num * den.exact_div(c.den) for c in coeffs])
+        self._store(field, basis, *common_denominator(field, [(c.num, c.den) for c in coeffs]))
 
     @classmethod
     def _from_cleared(cls, field, basis, den, nums):
@@ -89,7 +84,8 @@ class DiffOp:
 
     def monic_tail(self):
         """The normalized a_1..a_n with a_i the coefficient of the (n-i)-th power."""
-        lead, *tail = self.coeffs
+        # a_i = N_i / N_0: den cancels, so no coefficient is reduced on its own
+        lead, *tail = map(RatFun.from_poly, self.nums)
         return [c / lead for c in tail]
 
     def __eq__(self, other):
@@ -265,9 +261,9 @@ def _good_prime_obstructions(tail, finite):
     bad = []
     for a in tail:
         if not a.is_zero():
-            _, den_prim = a.den.content_primitive()
-            lam = den_prim.leading() / a.den.leading()
-            bad += [c.denominator for c in a.num.scale(lam).coeffs]
+            # a.den is monic: dividing it by its content makes it primitive
+            c = content([a.den])
+            bad += [(v / c).denominator for v in a.num.coeffs]
 
     S = Poly.one(QQ)
     for fac, _ in finite:
@@ -390,13 +386,9 @@ def reduce_op_mod_p(L, p):
         raise BadPrime(f"{p} is not prime")
     if L.field != QQ:
         raise TypeError("operator must be over Q")
-    # primitive integer form: the content of a set of reduced fractions is
-    # gcd(numerators) / lcm(denominators)
-    values = [c for N in L.nums for c in N.coeffs]
-    content = Fraction(int_gcd(*(c.numerator for c in values)),
-                       lcm(*(c.denominator for c in values)))
+    c = content(L.nums)
     Fp = PrimeField(p)
-    coeffs = [Poly(Fp, [int(c / content) for c in N.coeffs]) for N in L.nums]
+    coeffs = [Poly(Fp, [int(v / c) for v in N.coeffs]) for N in L.nums]
     if coeffs[0].is_zero():
         raise BadPrime(f"leading coefficient vanishes mod {p}")
     if int(L.den.content_primitive()[1].leading()) % p == 0:
@@ -541,17 +533,12 @@ def diffop_to_json(L):
     return {"basis": L.basis, "coeffs": coeffs}
 
 
-def _int_poly_pair(c):
-    field = c.field
-    if isinstance(field, PrimeField):
-        return [int(v) for v in c.num.coeffs], [int(v) for v in c.den.coeffs]
-    den_lcm = 1
-    for v in list(c.num.coeffs) + list(c.den.coeffs):
-        den_lcm = den_lcm * v.denominator // int_gcd(den_lcm, v.denominator)
-    return (
-        [int(v * den_lcm) for v in c.num.coeffs],
-        [int(v * den_lcm) for v in c.den.coeffs],
-    )
+def _int_poly_pair(r):
+    """Integer coefficient lists of r's num and den: residues over F_p, a primitive pair over Q."""
+    if isinstance(r.field, PrimeField):
+        return list(r.num.coeffs), list(r.den.coeffs)
+    c = content([r.num, r.den])
+    return [int(v / c) for v in r.num.coeffs], [int(v / c) for v in r.den.coeffs]
 
 
 def json_value(data):
@@ -600,11 +587,5 @@ def diffop_from_json(data, field=QQ):
         pairs.pop()
     if pairs[-1][0].is_zero():
         raise ParseError("operator is zero", location="coeffs")
-    # straight into the stored form: den = lcm of the nonconstant denominators,
-    # N_k = num_k (den / den_k); _from_cleared divides out what they share
-    den = Poly.one(field)
-    for _, dpoly in pairs:
-        if dpoly.degree() > 0:
-            den = den.lcm(dpoly)
-    nums = [npoly * den.exact_div(dpoly) for npoly, dpoly in reversed(pairs)]
-    return DiffOp._from_cleared(field, basis, den, nums)
+    # straight into the stored form; _from_cleared divides out what den and the N_k share
+    return DiffOp._from_cleared(field, basis, *common_denominator(field, pairs[::-1]))

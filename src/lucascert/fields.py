@@ -141,4 +141,4 @@ def reduce_rat_mod_p(q, p):
     den = q.denominator
     if den % p == 0:
         raise NotPLocal(p, value=q)
-    return q.numerator * pow(den, -1, p) % p
+    return q.numerator % p * pow(den, -1, p) % p

@@ -19,7 +19,7 @@ Euclidean remainder sequence behind gcd, resultant and discriminant.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from .fields import QQ, PrimeField
 
@@ -218,24 +218,18 @@ class Poly:
     def content_primitive(self):
         """Over Q: scalar c and primitive integer-coefficient poly P with self = c*P.
 
-        The primitive part has integer coefficients with gcd 1 and positive
+        c is `content([self])` with the sign of the leading coefficient, so the
+        primitive part has integer coefficients with gcd 1 and positive
         leading coefficient.
         """
         if self.field != QQ:
             raise TypeError("content/primitive only defined over Q")
         if self.is_zero():
             return Fraction(0), self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        if ints[-1] < 0:
-            g = -g
-        prim = Poly(QQ, [Fraction(v // g) for v in ints])
-        return Fraction(g, den_lcm), prim
+        c = content([self])
+        if self.coeffs[-1] < 0:
+            c = -c
+        return c, Poly(QQ, [v / c for v in self.coeffs])
 
     # -- gcd, resultant -------------------------------------------------
 
@@ -379,6 +373,16 @@ def format_poly(p, var="z"):
         else:
             parts.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
     return " + ".join(parts)
+
+
+def content(polys):
+    """The content of Q-polynomials: gcd of all coefficient numerators / lcm of all denominators.
+
+    Every Fraction is in lowest terms, so dividing by it leaves integer
+    coefficients with gcd 1.  0 when every polynomial is zero.
+    """
+    cs = [c for P in polys for c in P.coeffs]
+    return Fraction(int_gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
 
 
 def convolve(field, a, b, n):

@@ -3,6 +3,8 @@
 Normal form: gcd(num, den) = 1 with den monic, so equality of rational
 functions is structural equality of the pair.  The height is
 max(deg num, deg den), the size measure used by all certificate bounds.
+`common_denominator` puts a list of num/den pairs over one monic
+denominator, the cleared form of operators and of split sections.
 """
 
 from .errors import ZeroDenominator
@@ -136,6 +138,19 @@ class RatFun:
         if self.is_polynomial():
             return f"RatFun({self.num})"
         return f"RatFun(({self.num}) / ({self.den}))"
+
+
+def common_denominator(field, pairs):
+    """(D, [n_k (D / d_k)]) for polynomial pairs (n_k, d_k) over field, with d_k nonzero.
+
+    D is the monic lcm of the nonconstant d_k, so N_k / D = n_k / d_k; a
+    constant d_k takes no lcm, and D = 1 when there is none.
+    """
+    D = Poly.one(field)
+    for _, d in pairs:
+        if d.degree() > 0:
+            D = D.lcm(d)
+    return D, [n * D.exact_div(d) for n, d in pairs]
 
 
 def _cancel(a, g):

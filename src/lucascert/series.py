@@ -52,6 +52,8 @@ class TruncSeries:
     def truncate(self, T):
         if T > len(self.coeffs):
             raise ValueError("cannot extend a truncated series")
+        if T == len(self.coeffs):
+            return self  # series are immutable
         return TruncSeries(self.field, self.coeffs[:T])
 
     def is_zero(self):
@@ -97,6 +99,8 @@ class TruncSeries:
         return TruncSeries(f, [c * a for a in self.coeffs])
 
     def __pow__(self, e):
+        if e < 0:
+            raise ValueError("negative series power")
         result = TruncSeries.one(self.field, len(self.coeffs))
         base = self
         while e:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import re
 import time
@@ -747,6 +748,33 @@ def test_json_parses_straight_into_the_stored_form(monkeypatch):
     for data in catalog:
         diffop_from_json(data)
     assert gcds == []
+
+
+def test_json_integer_pairs_are_primitive_and_round_trip():
+    rng = random.Random(17)
+
+    def poly(field, max_degree):
+        return Poly(field, [field.coerce(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 8))))
+                            for _ in range(rng.randint(1, max_degree + 1))])
+
+    seen = set()
+    for field in (QQ, GF(7)):
+        for _ in range(60):
+            coeffs = [RatFun(poly(field, 3), poly(field, 2) or Poly.one(field)) for _ in range(rng.randint(2, 4))]
+            if not coeffs[0]:
+                continue
+            L = DiffOp(field, rng.choice(("d", "delta")), coeffs)
+            data = diffop_to_json(L)
+            for c, entry in zip(reversed(L.coeffs), data["coeffs"]):
+                assert all(type(v) is int for v in entry["num"] + entry["den"])
+                if field == QQ:
+                    assert math.gcd(*entry["num"], *entry["den"]) == 1
+                    seen |= {"rational" for v in c.num.coeffs + c.den.coeffs if v.denominator > 1}
+                else:  # the residues, unchanged
+                    assert (entry["num"], entry["den"]) == (list(c.num.coeffs), list(c.den.coeffs))
+            assert diffop_from_json(json.dumps(data), field) == L
+            seen.add(field)
+    assert seen == {QQ, GF(7), "rational"}
 
 
 def test_json_parse_errors():

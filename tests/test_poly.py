@@ -7,6 +7,7 @@ import pytest
 
 from lucascert import GF, QQ, Poly, default_catalog
 from lucascert.diffop import to_d
+from lucascert.poly import content
 
 
 def to_poly(field, ints):
@@ -313,3 +314,47 @@ def test_content_primitive():
     c, prim = a.content_primitive()
     assert prim == to_poly(QQ, [1, 2])
     assert prim.scale(c) == a
+    # a negative leading coefficient moves its sign into the content
+    a = Poly(QQ, [Fraction(4, 3), 0, Fraction(-2, 9)])
+    c, prim = a.content_primitive()
+    assert (c, prim) == (Fraction(-2, 9), to_poly(QQ, [-6, 0, 1]))
+    assert prim.scale(c) == a
+    assert Poly.zero(QQ).content_primitive() == (0, Poly.zero(QQ))
+    with pytest.raises(TypeError):
+        to_poly(GF(7), [1, 2]).content_primitive()
+
+
+def _content_oracle(polys):
+    """The content as first written: the lcm of the denominators, then the gcd of the cleared integers."""
+    den_lcm = 1
+    for P in polys:
+        for c in P.coeffs:
+            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    g = 0
+    for P in polys:
+        for c in P.coeffs:
+            g = math.gcd(g, abs(int(c * den_lcm)))
+    return Fraction(g, den_lcm)
+
+
+def test_content_matches_lcm_then_gcd_oracle():
+    rng = random.Random(15)
+
+    def rand_qpoly():
+        cs = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) if rng.random() < 0.7 else 0
+              for _ in range(rng.randint(1, 6))]
+        return Poly(QQ, cs).scale(Fraction(rng.randint(-50, 50), rng.randint(1, 50)))
+
+    cases = [[], [Poly.zero(QQ)], [Poly(QQ, [Fraction(-3, 4)])], [Poly(QQ, [Fraction(6, 5), 0, 0, Fraction(-9, 10)])]]
+    cases += [[rand_qpoly() for _ in range(rng.randint(1, 4))] for _ in range(300)]
+    seen = set()
+    for polys in cases:
+        c = content(polys)
+        assert c == _content_oracle(polys), polys
+        ints = [v / c for P in polys for v in P.coeffs] if c else []
+        assert all(v.denominator == 1 for v in ints)
+        assert math.gcd(*(int(v) for v in ints)) == (1 if c else 0)
+        seen |= {"zero" if not c else len(polys)}
+        seen |= {"interior zero" for P in polys if 0 in P.coeffs}
+        seen |= {"negative lead" for P in polys if P and P.leading() < 0}
+    assert seen >= {"zero", 1, 2, 3, 4, "interior zero", "negative lead"}

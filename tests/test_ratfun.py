@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lucascert import GF, QQ, Poly, RatFun, ZeroDenominator
+from lucascert.ratfun import common_denominator
 
 
 def to_poly(field, ints):
@@ -126,3 +127,42 @@ def test_inverse_of_zero():
         zero ** (-1)
     with pytest.raises(ZeroDivisionError):
         RatFun.one(GF(5)) / zero
+
+
+def test_common_denominator(monkeypatch):
+    rng = random.Random(16)
+    for field in (QQ, GF(7)):
+        z = Poly.x(field)
+        pool = [z, z + Poly.one(field), z.scale(3) - Poly.constant(field, 2), z * z + Poly.one(field)]
+
+        def rand_poly(max_degree):
+            return Poly(field, [field.coerce(rng.randint(-9, 9)) for _ in range(rng.randint(1, max_degree + 1))])
+
+        for _ in range(80):
+            pairs = []
+            for _ in range(rng.randint(1, 4)):
+                # denominators: products of shared factors, not monic, sometimes constant
+                d = Poly.constant(field, rng.choice((1, 2, -3, 5)))
+                for _ in range(rng.randint(0, 3)):
+                    d = d * rng.choice(pool)
+                pairs.append((rand_poly(3), d))
+            D, nums = common_denominator(field, pairs)
+            lcm = Poly.one(field)
+            for _, d in pairs:
+                lcm = lcm.lcm(d)
+            assert D == lcm and D.leading() == 1
+            assert len(nums) == len(pairs)
+            for (n, d), N in zip(pairs, nums):
+                assert RatFun(N, D) == RatFun(n, d)
+
+        assert common_denominator(field, []) == (Poly.one(field), [])
+        # constant denominators: D = 1, and no gcd is taken
+        gcds = []
+        real_gcd = Poly.gcd
+        monkeypatch.setattr(Poly, "gcd", lambda a, b: gcds.append(1) or real_gcd(a, b))
+        n = Poly(field, [1, 2, 3])
+        D, nums = common_denominator(field, [(n, Poly.constant(field, 2)), (n, Poly.one(field))])
+        monkeypatch.undo()
+        assert gcds == []
+        assert D == Poly.one(field)
+        assert nums == [n.scale(field.inv(field.coerce(2))), n]

@@ -140,6 +140,22 @@ def test_inverse():
     assert g.eq_to_order(TruncSeries.one(F, 40))
 
 
+def test_powers():
+    f = TruncSeries(GF(5), [1, 2, 3])
+    assert f**0 == TruncSeries.one(GF(5), 3)
+    assert f**3 == f * f * f
+    with pytest.raises(ValueError, match="negative series power"):
+        f ** -1
+
+
+def test_truncate():
+    f = q_series([1, 2, 3, 4])
+    assert f.truncate(2) == q_series([1, 2])
+    assert f.truncate(4) is f  # series are immutable: no copy
+    with pytest.raises(ValueError):
+        f.truncate(5)
+
+
 CONVOLVE_SHAPES = [
     (kind, p, la, lb)
     for kind in ("poly", "series", "mul_poly")
