@@ -10,13 +10,16 @@ Shipped entries:
   cy210          C(2j,j) * sum_k (-1)^k C(2j,k)^4
   cy26           C(2j,j) * sum_k C(j,k)^2 C(j+k,k) C(2k,j)
 
-Over Q, Apery terms come from the classical three-term recurrence (exact
-integer arithmetic, divisibility asserted; the quadruple-sum definition is
-the test oracle) and everything else is a direct big-integer binomial sum.
-`series_mod_p` computes f|_p of the binomial kinds (binom_power, f_r, cy210,
-cy26) from base-p digits by Lucas' theorem, with no big integers, and
-reduces the Q expansion of the others; the Q route is the digit routes'
-test oracle and the one `p_lucas_check` keeps.
+Over Q, the Apery numbers and `operator` entries are expanded from their
+operator and a(0) by `diffop.expand`, the one exact recurrence solver (it
+stays on integers while the terms are integral; the double binomial sum is
+the Apery test oracle), and everything else is a direct big-integer
+binomial sum.  An `apery` entry always expands the built-in Apery
+operator, whatever operator it carries.  `series_mod_p` computes f|_p of
+the binomial kinds (binom_power, f_r, cy210, cy26) from base-p digits by
+Lucas' theorem, with no big integers, and reduces the Q expansion of the
+others; the Q route is the digit routes' test oracle and the one
+`p_lucas_check` keeps.
 """
 
 from dataclasses import dataclass
@@ -33,9 +36,13 @@ from .series import TruncSeries, reduce_series_mod_p
 
 KINDS = ("binom_power", "f_r", "apery", "cy26", "cy210", "operator")
 # budget of series_mod_p's route over Q, in terms: the n-th Apery number has about 1.53 n
-# digits, so memory grows as T^2; apery at T = 55000 peaks at 1000 MB in 11 s (2 cores,
-# CPython 3.11.7), at T = 51712 at 886 MB
+# digits, so memory grows as T^2; through `expand`, apery at T = 55000 peaks at 1000 MB in
+# 10-13 s and at T = 51712 at 886 MB in about 11 s (2 cores, CPython 3.11.7, in-process)
 MAX_Q_T = 55000
+# the Apery operator z^2(z^2 - 34z + 1) d^3 + ... + (z - 5), polynomials by ascending
+# derivative order; every `apery` entry expands its recurrence from a(0) = 1
+APERY_OPERATOR = diffop_from_polys(QQ, "d", ((-5, 1), (1, -112, 7), (0, 3, -153, 6), (0, 0, 1, -34, 1)))
+_APERY_RECURRENCE = recurrence_from(APERY_OPERATOR)
 
 
 @dataclass(frozen=True)
@@ -69,15 +76,14 @@ def _generate(g, T):
         return [Fraction(b**g.r) for b in _central_binomials(T)]
     if g.kind == "f_r":
         return [Fraction(-(b**g.r), 2 * n - 1) for n, b in enumerate(_central_binomials(T))]
-    if g.kind == "apery":
-        return [Fraction(v) for v in apery_numbers(T)]
     if g.kind == "cy210":
         return [Fraction(cy210_term(j)) for j in range(T)]
     if g.kind == "cy26":
         return [Fraction(cy26_term(j)) for j in range(T)]
+    if g.kind == "apery":  # the Apery numbers, whatever operator the entry carries
+        return list(expand(_APERY_RECURRENCE, [QQ.one], T).coeffs)
     if g.kind == "operator":
-        rec = recurrence_from(g.operator)
-        return list(expand(rec, list(g.initial), T).coeffs)
+        return list(expand(recurrence_from(g.operator), list(g.initial), T).coeffs)
     raise UnknownSeries(g.kind)
 
 
@@ -86,21 +92,6 @@ def _central_binomials(T):
     out = [1]
     for n in range(1, T):
         out.append(out[-1] * (2 * (2 * n - 1)) // n)
-    return out[:T]
-
-
-def apery_numbers(T):
-    """Apery numbers 1, 5, 73, 1445, ... by the three-term recurrence."""
-    out = [1]
-    if T > 1:
-        out.append(5)
-    for m in range(2, T):
-        num = (34 * (m - 1) ** 3 + 51 * (m - 1) ** 2 + 27 * (m - 1) + 5) * out[m - 1] - (
-            m - 1
-        ) ** 3 * out[m - 2]
-        q, rem = divmod(num, m**3)
-        assert rem == 0, f"Apery recurrence not integral at m={m}"
-        out.append(q)
     return out[:T]
 
 
@@ -236,14 +227,6 @@ def _build_default():
     op_g3 = _op_delta([[0, -8], [0, -48], [0, -96], [1, -64]])  # (1-64z)delta^3 - 96z delta^2 - 48z delta - 8z
     op_f2 = _op_d([[4], [1, -16], [0, 1, -16]])  # z(1-16z) d^2 + (1-16z) d + 4
     op_f3 = _op_delta([[0, 8], [0, 16], [0, -32], [1, -64]])  # (1-64z)delta^3 - 32z delta^2 + 16z delta + 8z
-    op_apery = _op_d(
-        [
-            [-5, 1],
-            [1, -112, 7],
-            [0, 3, -153, 6],
-            [0, 0, 1, -34, 1],
-        ]
-    )
     entries = [
         SeqGen("g1", "binom_power", r=1, operator=op_g1),
         SeqGen("g2", "binom_power", r=2, operator=op_g2),
@@ -251,8 +234,8 @@ def _build_default():
         SeqGen("g3", "binom_power", r=3, operator=op_g3),
         SeqGen("f2", "f_r", r=2, operator=op_f2),
         SeqGen("f3", "f_r", r=3, operator=op_f3),
-        SeqGen("apery", "apery", operator=op_apery),
-        SeqGen("t", "apery", operator=op_apery),
+        SeqGen("apery", "apery", operator=APERY_OPERATOR),
+        SeqGen("t", "apery", operator=APERY_OPERATOR),
         SeqGen("cy210", "cy210"),
         SeqGen("cy26", "cy26"),
     ]

@@ -47,7 +47,7 @@ from .fields import QQ, PrimeField, is_prime
 from .linalg import kernel_basis, mat_add, mat_mul
 from .poly import Poly
 from .ratfun import RatFun, common_denominator
-from .series import TruncSeries, ratfun_series
+from .series import TruncSeries, ratfun_series, section_decomposition
 
 L_BOUND = "L_bound"
 L2_BOUND = "L2_bound"
@@ -134,7 +134,7 @@ def split_pade(f_p, d, p, normalize=True):
         raise ValueError("recurrence span must be >= 1")
     if not f_p[0]:
         raise ReconstructionFailed("split requires f(0) != 0")
-    sections = [f_p.cartier(p, r) for r in range(p)]
+    sections = section_decomposition(f_p, p)
     s0 = sections[0]
     if len(s0) < 2 * d:
         raise ReconstructionFailed(

@@ -22,6 +22,8 @@ operator, so MOM tests, good primes and certificates share it.
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import BadPrime, LeadingZero, NotMomAtZero, NotSeriesExpandable, ParseError
 from .fields import QQ, PrimeField, is_prime, primes_upto
@@ -77,10 +79,6 @@ class DiffOp:
     def coeffs(self):
         """The reduced coefficients N_k / den, leading first; built on every access."""
         return tuple(RatFun(N, self.den) for N in self.nums)
-
-    def coeff(self, derivative_order):
-        """Coefficient of d^k (or delta^k) for k = derivative_order."""
-        return RatFun(self.nums[self.order - derivative_order], self.den)
 
     def monic_tail(self):
         """The normalized a_1..a_n with a_i the coefficient of the (n-i)-th power."""
@@ -500,25 +498,37 @@ def expand(rec, initial, T):
 
     initial seeds the indices the recurrence leaves free (one value, a(0),
     for a MOM recurrence).  Raises LeadingZero if Q_0 vanishes at an index
-    that must be solved.
+    that must be solved.  The Q_j are scaled once to integer polynomials,
+    so a term stays an int while Q_0(m) divides exactly; only a nonzero
+    remainder makes a Fraction.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    field = rec.polys[0].field
-    coeffs = [field.coerce(v) for v in initial][:T]
+    if rec.polys[0].field != QQ:
+        raise TypeError("expand solves recurrences over Q")
+    # a_m = sum_j Q_j(m - j) a_(m-j) / -Q_0(m), every Q_j times the lcm of the denominators
+    den = lcm(*(v.denominator for P in rec.polys for v in P.coeffs))
+    q0, *rest = [[v.numerator * (den // v.denominator) for v in P.coeffs] for P in rec.polys]
+    coeffs = [int(v) if v.denominator == 1 else v for v in map(QQ.coerce, initial[:T])]
     for m in range(len(coeffs), T):
-        q0 = rec.polys[0].eval(m)
-        if not q0:
+        d = -_horner(q0, m)
+        if not d:
             raise LeadingZero(m)
-        acc = field.zero
-        for j in range(1, rec.span + 1):
-            if m - j < 0:
-                break
-            qj = rec.polys[j].eval(m - j)
-            if qj:
-                acc += qj * coeffs[m - j]
-        coeffs.append(field.coerce(-acc * field.inv(q0)))
-    return TruncSeries(field, coeffs)
+        num = 0
+        for j, cs in enumerate(rest[:m], start=1):
+            t = _horner(cs, m - j) * coeffs[m - j]
+            num = num + t if num else t  # 0 + t would copy a big t
+        a, r = divmod(num, d)  # also for a Fraction num: a is then the int floor
+        coeffs.append(a if not r else Fraction(num, d))
+    return TruncSeries(QQ, coeffs)
+
+
+def _horner(cs, x):
+    """The integer polynomial with coefficients cs, lowest first, at the int x."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
 # -- JSON interchange ------------------------------------------------------------

@@ -234,7 +234,7 @@ class Poly:
     # -- gcd, resultant -------------------------------------------------
 
     def gcd(self, other):
-        """Monic gcd; gcd(0, 0) = 0.
+        """Monic gcd; gcd(0, 0) = 0, and 1 at once when either operand is a nonzero constant.
 
         Over Q both inputs are cleared to primitive integer polynomials and
         a primitive PRS is used, which keeps intermediate coefficients small.
@@ -245,6 +245,8 @@ class Poly:
             return b.monic()
         if b.is_zero():
             return a.monic()
+        if a.degree() == 0 or b.degree() == 0:
+            return Poly.one(self.field)
         if self.field == QQ:
             _, a = a.content_primitive()
             _, b = b.content_primitive()

@@ -1,4 +1,6 @@
+import cProfile
 import json
+import pstats
 from fractions import Fraction
 from math import comb, factorial
 
@@ -18,7 +20,7 @@ from lucascert import (
     series_mod_p,
     series_over_q,
 )
-from lucascert.catalog import apery_numbers, cy26_mod, cy26_term, cy210_mod, cy210_term
+from lucascert.catalog import cy26_mod, cy26_term, cy210_mod, cy210_term
 from lucascert.diffop import expand, recurrence_from
 from test_diffop import equals_up_to_factor
 
@@ -62,8 +64,34 @@ def test_apery_first_terms_against_double_sum():
 
 
 def test_apery_recurrence_matches_double_sum_to_200():
-    got = apery_numbers(200)
-    assert got == [apery_double_sum(n) for n in range(200)]
+    # the independent check of the apery kind, which expands its own operator
+    assert gen_terms(CAT["apery"], 200) == [apery_double_sum(n) for n in range(200)]
+
+
+def test_apery_expansion_runs_on_integers():
+    # the terms are integral, so the only Fractions made are the T final coercions
+    profile = cProfile.Profile()
+    profile.runcall(gen_terms, CAT["apery"], 500)
+    calls = {name: stats[1] for (path, _, name), stats in pstats.Stats(profile).stats.items()
+             if path.endswith("fractions.py")}
+    assert calls.get("__new__") == 500
+    assert not {"forward", "reverse", "_add", "_sub", "_mul", "_div"} & set(calls)
+
+
+def test_json_apery_entry_expands_the_builtin_operator():
+    # an apery entry means the Apery numbers, with no operator or with another one
+    foreign = catalog_to_json({"f2": CAT["f2"]})[0]["operator"]
+    cat = catalog_from_json(
+        [
+            {"name": "bare", "kind": "apery"},
+            {"name": "foreign", "kind": "apery", "operator": foreign, "initial": ["3"]},
+        ]
+    )
+    assert cat["bare"].operator is None
+    assert cat["foreign"].operator == CAT["f2"].operator
+    oracle = [apery_double_sum(n) for n in range(60)]
+    for name in ("bare", "foreign"):
+        assert gen_terms(cat[name], 60) == oracle, name
 
 
 def test_f2_closed_form():
@@ -84,6 +112,7 @@ def test_all_entries_start_at_one():
 
 
 def test_generators_match_operator_expansion_to_200():
+    # apery expands its own operator, so its entry here is circular: the double sum checks it
     for name in ("g1", "g2", "g3", "f1", "f2", "f3", "apery"):
         entry = CAT[name]
         rec = recurrence_from(entry.operator)

@@ -276,7 +276,7 @@ def _to_delta_oracle(L):
     field, n = L.field, L.order
     out = [RatFun.zero(field) for _ in range(n + 1)]  # index = delta power
     for i in range(n + 1):  # derivative order
-        base = L.coeff(i) * Poly.x(field) ** (n - i)  # to be multiplied by z^i d^i
+        base = L.coeffs[L.order - i] * Poly.x(field) ** (n - i)  # to be multiplied by z^i d^i
         for k in range(i + 1):
             out[k] = out[k] + base * _stirling_first(i, k)
     return DiffOp(field, "delta", _strip_common_z(out[::-1]))
@@ -289,7 +289,7 @@ def _to_d_oracle(L):
     out = [RatFun.zero(field) for _ in range(n + 1)]  # index = derivative order
     for j in range(n + 1):  # delta power
         for k in range(j + 1):
-            out[k] = out[k] + L.coeff(j) * Poly.x(field) ** k * _stirling_second(j, k)
+            out[k] = out[k] + L.coeffs[L.order - j] * Poly.x(field) ** k * _stirling_second(j, k)
     return DiffOp(field, "d", _strip_common_z(out[::-1]))
 
 
@@ -319,7 +319,7 @@ def _infinity_transform_oracle(L):
         powers.append(nxt)
     out = [RatFun.zero(field) for _ in range(n + 1)]
     for i in range(n + 1):
-        a_inv = _substitute_inverse(Ld.coeff(i))
+        a_inv = _substitute_inverse(Ld.coeffs[Ld.order - i])
         for j, c in enumerate(powers[i]):
             out[j] = out[j] + a_inv * c
     return DiffOp(field, "d", _strip_common_z(out[::-1]))
@@ -704,6 +704,80 @@ def test_expand_leading_zero():
     with pytest.raises(LeadingZero) as err:
         expand(rec, [Fraction(1)], 6)
     assert err.value.index == 2
+
+
+def _expand_oracle(rec, initial, T):
+    """The straight Fraction loop: every term solved as -sum_j Q_j(m - j) a_(m-j) / Q_0(m)."""
+    field = rec.polys[0].field
+    coeffs = [field.coerce(v) for v in initial][:T]
+    for m in range(len(coeffs), T):
+        q0 = rec.polys[0].eval(m)
+        if not q0:
+            raise LeadingZero(m)
+        acc = field.zero
+        for j in range(1, rec.span + 1):
+            if m - j < 0:
+                break
+            qj = rec.polys[j].eval(m - j)
+            if qj:
+                acc += qj * coeffs[m - j]
+        coeffs.append(field.coerce(-acc * field.inv(q0)))
+    return coeffs
+
+
+def _outcome(terms):
+    """The terms computed by the call terms(), or the index of the LeadingZero it raised."""
+    try:
+        return list(terms())
+    except LeadingZero as exc:
+        return ("LeadingZero", exc.index)
+
+
+def _expand_cases():
+    """(label, recurrence, initial, T): catalog operators, fr1-fr4 and hand-made recurrences."""
+    from lucascert import Recurrence
+
+    cases = [(name, recurrence_from(e.operator), [1], 150) for name, e in CAT.items() if e.operator]
+    cases += [(f"fr{r}", recurrence_from(hypergeometric_fr_operator(r)), [1], 150) for r in range(1, 5)]
+    x2 = qpoly([0, 0, 1])
+    # Q_j with fractional coefficients, and a Q_0 that is not monic
+    halves = Recurrence((x2.scale(Fraction(3, 2)), Poly(QQ, [Fraction(1, 2), Fraction(-7, 3)]),
+                         Poly(QQ, [Fraction(5, 6)])), 2)
+    cases.append(("fractional Q_j", halves, [1], 40))
+    cases.append(("fractional seeds", recurrence_from(L_APERY), [Fraction(2, 3)], 40))
+    cases.append(("two seeds", halves, [Fraction(-1, 4), 5], 40))
+    # m a_m = 2 a_(m-1): 1, 2, 2, then 4/3, and never integral again
+    cases.append(("integral, then not", Recurrence((qpoly([0, 1]), qpoly([-2])), 1), [1], 30))
+    # (m - 3)(m - 5) a_m = ...: solved up to index 3, then LeadingZero
+    cases.append(("leading zero", Recurrence((qpoly([15, -8, 1]), qpoly([1, 1])), 1), [1], 10))
+    rng = random.Random(18)
+    for k in range(20):
+        span = rng.randint(1, 3)
+        polys = [Poly(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))])
+                 for _ in range(span + 1)]
+        if polys[0].is_zero():
+            polys[0] = qpoly([1])
+        seeds = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+        cases.append((f"random {k}", Recurrence(tuple(polys), span), seeds, 25))
+    return cases
+
+
+@pytest.mark.parametrize("label, rec, initial, T", [pytest.param(*c, id=c[0]) for c in _expand_cases()])
+def test_expand_matches_fraction_loop(label, rec, initial, T):
+    got = _outcome(lambda: expand(rec, initial, T).coeffs)
+    assert got == _outcome(lambda: _expand_oracle(rec, initial, T))
+    if label == "integral, then not":
+        assert got[:5] == [1, 2, 2, Fraction(4, 3), Fraction(2, 3)]
+    if label == "leading zero":
+        assert got == ("LeadingZero", 3)
+
+
+def test_expand_is_over_q_only():
+    from lucascert import Recurrence
+
+    rec = Recurrence((Poly(GF(7), [0, 1]), Poly(GF(7), [3])), 1)
+    with pytest.raises(TypeError, match="over Q"):
+        expand(rec, [1], 5)
 
 
 # -- operator JSON -------------------------------------------------------------------------

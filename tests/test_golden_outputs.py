@@ -26,6 +26,8 @@ from lucascert.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 OPS = GOLDEN / "ops"
 OPERATORS = ("g2", "g3", "f2", "f3", "apery")
+# `operator`-kind entries carrying f2's and apery's operators: expanded by the recurrence alone
+OPERATOR_CATALOG = str(GOLDEN / "catalog_operator.json")
 
 
 def _cli(*argv):
@@ -68,6 +70,9 @@ def _cases():
         cases[f"casebook_all.{fmt}"] = lambda fmt=fmt: _cli(
             "casebook", "all", "--primes", "3,5,7", "--format", fmt)
     cases["expand_apery_300.txt"] = lambda: _cli("expand", "apery", "--T", "300")
+    for s, p in (("f2_op", 3), ("apery_op", 5)):
+        cases[f"expand_{s}_300.txt"] = lambda s=s: _cli("expand", s, "--T", "300", "--catalog", OPERATOR_CATALOG)
+        cases[f"certify_{s}_{p}.json"] = lambda s=s, p=p: _cli("certify", s, "-p", str(p), "--catalog", OPERATOR_CATALOG)
     for s, p in (("f2", 3), ("apery", 5)):
         cases[f"shadow_F0_{s}_{p}.json"] = lambda s=s, p=p: _shadow_f0(s, p, 81)
     return cases

@@ -35,6 +35,29 @@ def test_gcd_with_zero_is_monic():
     assert Poly.zero(QQ).gcd(Poly.zero(QQ)).is_zero()
 
 
+def _euclid_gcd(a, b):
+    """Monic gcd by the plain Euclidean remainder sequence."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_gcd_with_a_constant_takes_no_division(field, monkeypatch):
+    rng = random.Random(7)
+    constants = [to_poly(field, [c]) for c in (1, 3, -2)]
+    others = [rand_poly(rng, field, 6) for _ in range(12)] + [to_poly(field, [1, 2]) ** 30]
+    pairs = [(a, c) for a in others for c in constants]
+    pairs += [(c, a) for a, c in pairs]
+    expected = [_euclid_gcd(a, b) for a, b in pairs]
+    calls = []
+    divmod_ = Poly.divmod
+    monkeypatch.setattr(Poly, "divmod", lambda self, other: calls.append(1) or divmod_(self, other))
+    got = [a.gcd(b) for a, b in pairs]
+    assert got == expected == [Poly.one(field)] * len(pairs)
+    assert calls == []
+
+
 def test_gcd_truncation_of_f2_mod_3_is_separable():
     # oracle: P_{2,3} from the coefficient formula -C(2n,n)^2/(2n-1) reduced mod 3
     coeffs = []
