@@ -13,6 +13,7 @@ dense kernel solve (`pade_kernel`) at the tight order 2h + 1 for height h.
 import csv
 import io
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 
 from .catalog import (
     cy26_mod,
@@ -203,6 +204,14 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
     return result
 
 
+@cache
+def _fr_operator_checks(r, T):
+    """(L_r(f_r) = 0 to order T, L_r MOM with indicial polynomial x^r): neither depends on p."""
+    Lr = hypergeometric_fr_operator(r)
+    annihilates = Lr.apply(series_over_q(lookup(f"f{r}"), T)).is_zero()
+    return annihilates, is_mom(Lr) and indicial_at_zero(Lr) == Poly.x(QQ) ** r
+
+
 def case_independence(p, T=None):
     """The certificate ingredients behind the algebraic-independence transfers.
 
@@ -235,12 +244,9 @@ def case_independence(p, T=None):
         ok1 = lam1.eq_to_order(gr_p, len(lam1))
         ok2 = lam2.eq_to_order(gr_p, len(lam2))
         result.add(f"Lambda(f_{r}) = g_{r} = Lambda^2(f_{r}) mod {p}", ok1 and ok2)
-        Lr = hypergeometric_fr_operator(r)
-        result.add(f"L_{r}(f_{r}) = 0", Lr.apply(fr_q).is_zero())
-        result.add(
-            f"L_{r} MOM",
-            is_mom(Lr) and indicial_at_zero(Lr) == Poly.x(QQ) ** r,
-        )
+        annihilates, mom = _fr_operator_checks(r, T)
+        result.add(f"L_{r}(f_{r}) = 0", annihilates)
+        result.add(f"L_{r} MOM", mom)
     t_p = reduce_series_mod_p(series_over_q(lookup("apery"), T), p)
     lam_t = t_p.cartier(p, 0)
     result.add("Lambda(t) = t mod p", lam_t.eq_to_order(t_p, len(lam_t)))

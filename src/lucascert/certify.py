@@ -54,6 +54,10 @@ L2_BOUND = "L2_bound"
 PROP62_BOUND = "prop62_bound"
 
 MAX_T = 2 * 10**6  # expansion budget of assemble_certificate, in series terms
+# orbit_detect compares Cartier iterates of at least ORBIT_MIN_LENGTH terms, at most
+# ORBIT_MAX_STEPS steps deep; assemble_certificate sizes its probes from the same two numbers
+ORBIT_MIN_LENGTH = 32
+ORBIT_MAX_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -387,7 +391,7 @@ def iterate_certificates(f_p, i, m, p, n, r, span=None):
 # -- orbit detection -----------------------------------------------------------------
 
 
-def orbit_detect(f_p, p, max_steps=6, min_length=32):
+def orbit_detect(f_p, p, max_steps=ORBIT_MAX_STEPS, min_length=ORBIT_MIN_LENGTH):
     """Find the Cartier-iterate collision Lambda^a f = Lambda^(a+b) f.
 
     Truncation-equality only: iterate lengths shrink by a factor p per step
@@ -429,13 +433,19 @@ def assemble_certificate(seqgen, p, T=None):
     good primes.  The level comes from orbit detection; the certificate is
     assembled as A_{0,l} (A_{l,l}/A_{0,l})^(p^l) and carries the L^2-type
     bound 2C p^(2l) with C = 2nr, or collapses to A_{0,l} with the L-type
-    bound C p^l when the orbit has no preperiod.  Automatic T also covers the
-    (2d - 1) p^(2l) + 1 terms that A_{l,l} needs to split Lambda^(2l-1) f (d
-    the recurrence span); an explicit T below that is a ReconstructionFailed
-    naming it.  No expansion, probe or final, goes past MAX_T terms:
-    BudgetExceeded names the T needed instead.
-    When the final T equals the probe's length, the probe's expansion and
-    orbit are the final ones.
+    bound C p^l when the orbit has no preperiod.
+
+    Automatic T is the largest of what the stages need.  The A_{l,l} split of
+    Lambda^(2l-1) f needs (2d - 1) p^(2l) + 1 terms (d the recurrence span),
+    and l >= 1, so the first probe is max(512, (2d - 1) p^2 + 1).  While no
+    orbit shows, the next probe is the least length at which one more Cartier
+    iterate has ORBIT_MIN_LENGTH terms, (ORBIT_MIN_LENGTH - 1) p^k + 1.  Once
+    it shows, T is the largest of the probe, the height bound's 2 bound + 16
+    and the A_{l,l} split at the orbit's level; when that is the probe, the
+    probe's expansion and orbit are the final ones.  An explicit T below the
+    split's need is a ReconstructionFailed naming it.  No expansion, probe or
+    final, goes past MAX_T terms: BudgetExceeded names the T needed and the
+    stage that set it.
     """
     L = seqgen.operator
     if L is None:
@@ -452,26 +462,37 @@ def assemble_certificate(seqgen, p, T=None):
 
     probe = None
     if T is None:
-        # probe until the orbit is visible (iterate lengths shrink by p per
-        # step), then size T from the certified height bound
-        probe = 512
-        for attempt in range(5):
-            _check_budget(probe)
+        # each need is (T, the stage that needs it); max keeps the first of equal T
+        probe, stage = max((_lambda_split_T(span, p, 1), "A_{l,l} split at level 1"), (512, "orbit probe"),
+                           key=lambda need: need[0])
+        while True:
+            _check_budget(probe, stage)
             f_p = series_mod_p(seqgen, p, probe)
             try:
                 orbit = orbit_detect(f_p, p)
                 break
             except NoCycleFound:
-                if attempt == 4:
+                # a longer probe can only add a collision with one more usable iterate
+                k = 1
+                while _orbit_probe_T(p, k) <= probe:
+                    k += 1
+                if k > ORBIT_MAX_STEPS:
                     raise
-                probe *= p
+                probe, stage = _orbit_probe_T(p, k), "orbit probe"
         if orbit.preperiod == 0:
             bound_guess = C * p**orbit.level
         else:
             bound_guess = 2 * C * p ** (2 * orbit.level)
-        T = max(2 * bound_guess + 16, 512, probe, _lambda_split_T(span, p, orbit.level))
+        T, stage = max(
+            (probe, "orbit probe"),
+            (2 * bound_guess + 16, "height bound"),
+            (_lambda_split_T(span, p, orbit.level), f"A_{{l,l}} split at level {orbit.level}"),
+            key=lambda need: need[0],
+        )
+    else:
+        stage = "explicit T"
     if T != probe:
-        _check_budget(T)
+        _check_budget(T, stage)
         f_p = series_mod_p(seqgen, p, T)
         orbit = orbit_detect(f_p, p)
     level = orbit.level
@@ -511,9 +532,14 @@ def _lambda_split_T(span, p, level):
     return (2 * span - 1) * p ** (2 * level) + 1
 
 
-def _check_budget(T):
+def _orbit_probe_T(p, k):
+    """Least T whose k-th Cartier iterate, of ceil(T / p^k) terms, has ORBIT_MIN_LENGTH of them."""
+    return (ORBIT_MIN_LENGTH - 1) * p**k + 1
+
+
+def _check_budget(T, stage):
     if T > MAX_T:
-        raise BudgetExceeded(f"certify needs T = {T} series terms, above the budget MAX_T = {MAX_T}")
+        raise BudgetExceeded(f"certify needs T = {T} series terms ({stage}), above the budget MAX_T = {MAX_T}")
 
 
 def verify_certificate(cert, f_p):

@@ -7,6 +7,7 @@ from lucascert import (
     GF,
     QQ,
     BadPrime,
+    BudgetExceeded,
     NoCycleFound,
     NotSeriesExpandable,
     Poly,
@@ -427,9 +428,53 @@ def test_assemble_auto_T_for_f2_at_11_is_within_budget(monkeypatch):
     assert asked[-1] == 2 * 2 * 8 * 11**4 + 16 == 468528 <= MAX_T
 
 
+def _record_series_mod_p(monkeypatch):
+    asked = []
+
+    def record(g, p, T):
+        asked.append(T)
+        return series_mod_p(g, p, T)
+
+    monkeypatch.setattr(certify, "series_mod_p", record)
+    return asked
+
+
+def test_assemble_auto_T_for_apery_at_37_is_the_level_one_split(monkeypatch):
+    # the first probe is the A_{l,l} split's 3 p^2 + 1 terms (span 2, level >= 1); the
+    # orbit shows there at level 1 and no other stage needs more, so it is the final T
+    asked = _record_series_mod_p(monkeypatch)
+    cert = assemble_certificate(CAT["apery"], 37)
+    assert asked == [3 * 37**2 + 1] == [4108]
+    assert (cert.level, cert.height, cert.verified_to) == (1, 36, 4108)
+    monkeypatch.undo()
+    assert cert.A == assemble_certificate(CAT["apery"], 37, T=18944).A
+    # the Q route reduced mod p, not the certify route that built the certificate
+    assert verify_certificate(cert, reduce_series_mod_p(series_over_q(CAT["apery"], 4108), 37))
+
+
+def test_assemble_auto_T_probes_one_more_iterate_at_a_time(monkeypatch):
+    # at p = 5 the 512-term probe has one iterate of >= 32 terms and finds no orbit; the next
+    # probe gives a second one, 31 * 5^2 + 1 = 776 terms, and shows the orbit at level 2;
+    # the height bound 2C p^4 (C = 8) then sets T = 2 * 10000 + 16
+    asked = _record_series_mod_p(monkeypatch)
+    cert = assemble_certificate(CAT["f2"], 5)
+    assert asked == [512, 776, 20016]
+    assert (cert.level, cert.height, cert.verified_to) == (2, 60, 20016)
+
+
+@pytest.mark.parametrize("name, p, T", [("apery", 1009, 3 * 1009**2 + 1), ("f2", 1000003, 1000003**2 + 1)])
+def test_assemble_auto_T_over_budget_expands_nothing(monkeypatch, name, p, T):
+    # the level-1 split's need is known before any expansion and is past MAX_T
+    asked = _record_series_mod_p(monkeypatch)
+    with pytest.raises(BudgetExceeded, match=rf"T = {T} series terms \(A_{{l,l}} split at level 1\), "
+                                             rf"above the budget MAX_T = {MAX_T}"):
+        assemble_certificate(CAT[name], p)
+    assert asked == []
+
+
 def test_assemble_auto_T_covers_the_all_split():
-    # at p = 521 the orbit shows at the 512 p probe, but A_{l,l} splits Lambda f, which needs
-    # (2d - 1) p + 1 = 522 of its terms (span d = 1): T = p^2 + 1, past the probe
+    # at p = 521 A_{l,l} splits Lambda f, which needs (2d - 1) p + 1 = 522 of its terms
+    # (span d = 1): T = p^2 + 1, the first probe, where the orbit shows
     cert = assemble_certificate(CAT["g2"], 521)
     assert (cert.level, cert.height, cert.verified_to) == (1, 260, 521**2 + 1)
 

@@ -192,24 +192,31 @@ def test_certify_huge_prime_needs_no_sieve(capsys):
 
 
 def test_certify_over_expansion_budget_is_input_error(capsys):
-    # the 512-term probe finds no orbit at p = 1000003, and the next probe would be 512 p terms
+    # every certificate has level >= 1, so the first probe is the A_{l,l} split's
+    # (2d - 1) p^2 + 1 terms (span d = 1), far past MAX_T at p = 1000003
     start = time.perf_counter()
     assert main(["certify", "f2", "-p", "1000003"]) == 1
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
-    assert f"T = {512 * 1000003}" in err and f"MAX_T = {MAX_T}" in err
+    assert f"T = {1000003**2 + 1}" in err and f"MAX_T = {MAX_T}" in err
     assert main(["certify", "f2", "-p", "3", "--T", str(MAX_T + 1)]) == 1
     assert f"T = {MAX_T + 1}" in capsys.readouterr().err
 
 
 def test_certify_apery_over_q_route_budget_is_input_error(capsys):
-    # apery has no digit route: the 512-term probe finds no orbit at p = 1009, and the next
-    # probe, 512 p terms over Q, would need far more memory than the host has
+    # apery has no digit route: its first probe, the A_{l,l} split's 3 p^2 + 1 terms
+    # (span 2), is past MAX_Q_T at p = 211 and past MAX_T at p = 1009
+    start = time.perf_counter()
+    assert main(["certify", "apery", "-p", "211"]) == 1
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert f"'apery' needs T = {3 * 211**2 + 1} terms over Q" in err and f"MAX_Q_T = {MAX_Q_T}" in err
+    assert "Traceback" not in err
     start = time.perf_counter()
     assert main(["certify", "apery", "-p", "1009"]) == 1
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
-    assert f"'apery' needs T = {512 * 1009} terms over Q" in err and f"MAX_Q_T = {MAX_Q_T}" in err
+    assert f"T = {3 * 1009**2 + 1}" in err and f"MAX_T = {MAX_T}" in err
     assert "Traceback" not in err
 
 

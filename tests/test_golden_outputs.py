@@ -57,7 +57,7 @@ def _monic_json(name):
 
 def _cases():
     cases = {}
-    for s, p in (("f2", 3), ("f3", 3), ("f2", 5), ("g3", 5), ("apery", 5)):
+    for s, p in (("f2", 3), ("f3", 3), ("f2", 5), ("g3", 5), ("apery", 5), ("apery", 37)):
         cases[f"certify_{s}_{p}.json"] = lambda s=s, p=p: _cli("certify", s, "-p", str(p))
     for name in OPERATORS:
         cases[f"ops/{name}.json"] = lambda name=name: _operator_json(name)
