@@ -23,7 +23,6 @@ from .catalog import (
     gen_terms,
     lookup,
     p_lucas_check,
-    series_over_q,
     hypergeometric_fr_operator,
 )
 from .diffop import is_mom, indicial_at_zero
@@ -146,8 +145,7 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
         return _excluded(result, f"the split checks to order T = {T} need p < T")
     result.orders["T"] = T
     Fp = GF(p)
-    f1_q = TruncSeries(QQ, gen_terms(lookup("f1"), T))
-    f2_q = TruncSeries(QQ, gen_terms(lookup("f2"), T))
+    f1_q, f2_q = _series_over_q("f1", T), _series_over_q("f2", T)
     one_m_16z = Poly(QQ, [1, -16])
     rhs_f2 = (f1_q + f1_q.delta().scale(2)).mul_poly(one_m_16z)
     result.add("f2-from-f1", f2_q.eq_to_order(rhs_f2, T))
@@ -205,10 +203,16 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
 
 
 @cache
+def _series_over_q(name, T):
+    """The catalog series `name` over Q to order T, expanded once: it does not depend on p."""
+    return TruncSeries(QQ, gen_terms(lookup(name), T))
+
+
+@cache
 def _fr_operator_checks(r, T):
     """(L_r(f_r) = 0 to order T, L_r MOM with indicial polynomial x^r): neither depends on p."""
     Lr = hypergeometric_fr_operator(r)
-    annihilates = Lr.apply(series_over_q(lookup(f"f{r}"), T)).is_zero()
+    annihilates = Lr.apply(_series_over_q(f"f{r}", T)).is_zero()
     return annihilates, is_mom(Lr) and indicial_at_zero(Lr) == Poly.x(QQ) ** r
 
 
@@ -223,7 +227,7 @@ def case_independence(p, T=None):
     pade_kernel on the first 2h + 1 coefficients, h = (p - 1)/2 = height(B).
     T defaults to max(300, p + 8) >= 2h + 8, so that B stays within reach
     of pade_ratio's degree bound (T - 8)/2 at every prime; a given T must
-    exceed p.  Each series is expanded once, to order T.
+    exceed p.  Each series is expanded over Q once per T, for all primes.
     """
     result = CaseResult("independence", p)
     if p < 3:
@@ -234,9 +238,8 @@ def case_independence(p, T=None):
         raise ValueError(f"T = {T} must exceed p = {p}, which B's reconstruction needs")
     result.orders["T"] = T
     for r in (2, 3):
-        fr_q = series_over_q(lookup(f"f{r}"), T)
-        fr_p = reduce_series_mod_p(fr_q, p)
-        gr_p = reduce_series_mod_p(series_over_q(lookup(f"g{r}"), T), p)
+        fr_p = reduce_series_mod_p(_series_over_q(f"f{r}", T), p)
+        gr_p = reduce_series_mod_p(_series_over_q(f"g{r}", T), p)
         if r == 2:
             f2_p, g2_p = fr_p, gr_p
         lam1 = fr_p.cartier(p, 0)
@@ -247,7 +250,7 @@ def case_independence(p, T=None):
         annihilates, mom = _fr_operator_checks(r, T)
         result.add(f"L_{r}(f_{r}) = 0", annihilates)
         result.add(f"L_{r} MOM", mom)
-    t_p = reduce_series_mod_p(series_over_q(lookup("apery"), T), p)
+    t_p = reduce_series_mod_p(_series_over_q("apery", T), p)
     lam_t = t_p.cartier(p, 0)
     result.add("Lambda(t) = t mod p", lam_t.eq_to_order(t_p, len(lam_t)))
 

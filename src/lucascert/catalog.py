@@ -13,13 +13,13 @@ Shipped entries:
 Over Q, the Apery numbers and `operator` entries are expanded from their
 operator and a(0) by `diffop.expand`, the one exact recurrence solver (it
 stays on integers while the terms are integral; the double binomial sum is
-the Apery test oracle), and everything else is a direct big-integer
-binomial sum.  An `apery` entry always expands the built-in Apery
-operator, whatever operator it carries.  `series_mod_p` computes f|_p of
-the binomial kinds (binom_power, f_r, cy210, cy26) from base-p digits by
-Lucas' theorem, with no big integers, and reduces the Q expansion of the
-others; the Q route is the digit routes' test oracle and the one
-`p_lucas_check` keeps.
+the Apery test oracle), and everything else is a big-integer binomial
+sum, its binomials walked along their rows by exact updates.  An `apery`
+entry always expands the built-in Apery operator, whatever operator it
+carries.  `series_mod_p` computes f|_p of the binomial kinds (binom_power,
+f_r, cy210, cy26) from base-p digits by Lucas' theorem, with no big
+integers, and reduces the Q expansion of the others; the Q route is the
+digit routes' test oracle and the one `p_lucas_check` keeps.
 """
 
 from dataclasses import dataclass
@@ -96,12 +96,23 @@ def _central_binomials(T):
 
 
 def cy210_term(j):
-    s = sum((-1 if k & 1 else 1) * comb(2 * j, k) ** 4 for k in range(2 * j + 1))
-    return comb(2 * j, j) * s
+    """C(2j,j) sum_k (-1)^k C(2j,k)^4: by k <-> 2j - k, twice the sum over k < j plus the middle term."""
+    c, s = 1, 0  # c = C(2j,k) along its row, ending at C(2j,j)
+    for k in range(j):
+        s += -c**4 if k & 1 else c**4
+        c = c * (2 * j - k) // (k + 1)
+    return c * (2 * s + (-1) ** j * c**4)
 
 
 def cy26_term(j):
-    s = sum(comb(j, k) ** 2 * comb(j + k, k) * comb(2 * k, j) for k in range(j + 1))
+    """C(2j,j) sum_k C(j,k)^2 C(j+k,k) C(2k,j), from k = ceil(j/2), below which C(2k,j) = 0."""
+    k0 = (j + 1) // 2
+    a, b, c, s = comb(j, k0), comb(j + k0, k0), comb(2 * k0, j), 0
+    for k in range(k0, j + 1):  # a, b, c = C(j,k), C(j+k,k), C(2k,j); each // is exact
+        s += a * a * b * c
+        a = a * (j - k) // (k + 1)
+        b = b * (j + k + 1) // (k + 1)
+        c = c * (2 * k + 1) * (2 * k + 2) // ((2 * k + 1 - j) * (2 * k + 2 - j))
     return comb(2 * j, j) * s
 
 

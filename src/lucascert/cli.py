@@ -52,14 +52,15 @@ MAX_BOUND = 10**7  # good-prime budget: a 10 MB sieve and 664579 primes
 # (2 cores, CPython 3.11.7); at 20000, f2 alone takes 85 s and 1 GB
 MAX_EXPAND_T = 5000
 # budget of the sum kinds cy210 and cy26, whose terms are O(j) big-binomial sums, so their
-# cost grows about as T^3.6: 400 terms print in about 2 s (same host), 5000 would take hours
+# cost grows about as T^3: 400 terms print in about 0.3 s and 1600 take 8-16 s (same host), and
+# 5000 would take several minutes
 MAX_SUM_EXPAND_T = 400
 # opinfo p-curvature budget, in p: on apery it takes about 3 s at p = 211 and grows about as
 # p^2.3 (same host), so p = 401 takes 12 s and p = 1009 over a minute
 MAX_CURVATURE_P = 211
-# casebook budget, in p, for the cases whose work grows with p: 210 sums up to 2jp + 1 big binomials
-# for each a(jp), j <= 20, and takes 2.4 s at p = 61, 3.1 s at 67 and 3.7 s at 71 (same host); 26
-# takes 1.0 s and independence 0.2 s at 67
+# casebook budget, in p, for the cases whose work grows with p: 210 sums jp + 1 big binomials for
+# each a(jp), j <= 20, and takes 0.08-0.18 s at p = 61 and 67, 0.12 s at 71 and 0.3 s at 101
+# (same host, in-process); 26 takes 0.03-0.05 s and independence 0.1 s at 67
 MAX_CASEBOOK_P = 67
 
 

@@ -98,6 +98,25 @@ def test_batch_report_nine_rows():
     assert all(r.passed for r in results)
 
 
+def test_batch_report_expands_each_q_series_once(monkeypatch):
+    # 2f1 and independence share one Q expansion per (series, T) across primes
+    calls = []
+    gen_terms = casebook.gen_terms
+    monkeypatch.setattr(casebook, "gen_terms", lambda g, T: calls.append((g.name, T)) or gen_terms(g, T))
+    cached = (casebook._series_over_q, casebook._fr_operator_checks)
+    for fn in cached:
+        fn.cache_clear()
+    try:
+        results = batch_report([5, 7], ["2f1", "independence"])
+    finally:  # leave no series expanded through the counting wrapper behind
+        for fn in cached:
+            fn.cache_clear()
+    assert all(r.passed for r in results)
+    assert sorted(calls) == sorted(set(calls))
+    assert set(calls) == {("f1", 500), ("f2", 500), ("f2", 300), ("g2", 300), ("f3", 300), ("g3", 300),
+                          ("apery", 300)}
+
+
 def test_batch_report_empty_cases():
     assert batch_report([3, 5], []) == []
 

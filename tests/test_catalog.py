@@ -20,6 +20,7 @@ from lucascert import (
     series_mod_p,
     series_over_q,
 )
+from lucascert import catalog
 from lucascert.catalog import cy26_mod, cy26_term, cy210_mod, cy210_term
 from lucascert.diffop import expand, recurrence_from
 from test_diffop import equals_up_to_factor
@@ -104,6 +105,25 @@ def test_cy_series_against_direct_summation():
     assert [cy26_term(j) for j in range(12)] == [cy26_direct(j) for j in range(12)]
     assert [cy210_term(j) for j in range(10)] == [cy210_direct(j) for j in range(10)]
     assert gen_terms(CAT["cy26"], 3) == [cy26_direct(j) for j in range(3)]
+
+
+def test_cy_terms_walked_along_rows_match_factorial_oracles():
+    # every index to 80, and the largest a(jp) the casebook reaches at MAX_CASEBOOK_P = 67:
+    # 20 * 67 for cy210 (Jmax = 20), 15 * 67 for cy26 (Jmax = 15)
+    for j in [*range(81), 20 * 67]:
+        assert cy210_term(j) == cy210_direct(j), j
+    for j in [*range(81), 15 * 67]:
+        assert cy26_term(j) == cy26_direct(j), j
+
+
+def test_cy_terms_never_use_the_lucas_route(monkeypatch):
+    # the casebook compares the exact terms mod p with cy210_mod/cy26_mod, which use Lucas digits
+    def no_lucas(*args):
+        raise AssertionError("the exact route called _lucas")
+
+    monkeypatch.setattr(catalog, "_lucas", no_lucas)
+    assert cy210_term(100) == cy210_direct(100)
+    assert cy26_term(100) == cy26_direct(100)
 
 
 def test_all_entries_start_at_one():

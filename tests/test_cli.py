@@ -276,6 +276,14 @@ def test_casebook_prime_over_budget_is_input_error(case_id, capsys):
     assert "Traceback" not in err
 
 
+def test_casebook_cases_pass_at_the_prime_cap(capsys):
+    code = main(["casebook", "210", "26", "independence", "--primes", str(MAX_CASEBOOK_P), "--format", "json"])
+    results = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [r["case_id"] for r in results] == ["210", "26", "independence"]
+    assert all(c["pass"] for r in results for c in r["checks"]) and not any(r["excluded"] for r in results)
+
+
 def test_casebook_excluded_prime_without_flag(capsys):
     assert main(["casebook", "210", "--primes", "2"]) == 1
 

@@ -70,6 +70,8 @@ def _cases():
         cases[f"casebook_all.{fmt}"] = lambda fmt=fmt: _cli(
             "casebook", "all", "--primes", "3,5,7", "--format", fmt)
     cases["expand_apery_300.txt"] = lambda: _cli("expand", "apery", "--T", "300")
+    for s in ("cy210", "cy26"):
+        cases[f"expand_{s}_100.txt"] = lambda s=s: _cli("expand", s, "--T", "100")
     for s, p in (("f2_op", 3), ("apery_op", 5)):
         cases[f"expand_{s}_300.txt"] = lambda s=s: _cli("expand", s, "--T", "300", "--catalog", OPERATOR_CATALOG)
         cases[f"certify_{s}_{p}.json"] = lambda s=s, p=p: _cli("certify", s, "-p", str(p), "--catalog", OPERATOR_CATALOG)
