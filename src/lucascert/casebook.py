@@ -145,14 +145,11 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
         return _excluded(result, f"the split checks to order T = {T} need p < T")
     result.orders["T"] = T
     Fp = GF(p)
-    f1_q, f2_q = _series_over_q("f1", T), _series_over_q("f2", T)
-    one_m_16z = Poly(QQ, [1, -16])
-    rhs_f2 = (f1_q + f1_q.delta().scale(2)).mul_poly(one_m_16z)
-    result.add("f2-from-f1", f2_q.eq_to_order(rhs_f2, T))
-    result.add("f1-from-f2", f1_q.eq_to_order(f2_q - f2_q.delta().scale(2), T))
+    for label, ok in _2f1_q_identities(T):
+        result.add(label, ok)
 
-    f1_p = reduce_series_mod_p(f1_q, p)
-    f2_p = reduce_series_mod_p(f2_q, p)
+    f1_p = reduce_series_mod_p(_series_over_q("f1", T), p)
+    f2_p = reduce_series_mod_p(_series_over_q("f2", T), p)
     P1 = f1_p.truncate(p).poly()
     P2 = f2_p.truncate(p).poly()
     half = (p - 1) // 2
@@ -206,6 +203,15 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
 def _series_over_q(name, T):
     """The catalog series `name` over Q to order T, expanded once: it does not depend on p."""
     return TruncSeries(QQ, gen_terms(lookup(name), T))
+
+
+@cache
+def _2f1_q_identities(T):
+    """(label, ok) of f_2 = (1-16z)(f_1 + 2 delta f_1) and f_1 = f_2 - 2 delta f_2 over Q to order T, for any p."""
+    f1_q, f2_q = _series_over_q("f1", T), _series_over_q("f2", T)
+    rhs_f2 = (f1_q + f1_q.delta().scale(2)).mul_poly(Poly(QQ, [1, -16]))
+    return (("f2-from-f1", f2_q.eq_to_order(rhs_f2, T)),
+            ("f1-from-f2", f1_q.eq_to_order(f2_q - f2_q.delta().scale(2), T)))
 
 
 @cache

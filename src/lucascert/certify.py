@@ -29,9 +29,11 @@ with no series inverse.  The last row of F annihilates the Cartier image of
 the solution vector.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from math import gcd, lcm
+from operator import mul
 
 from .catalog import series_mod_p
 from .diffop import companion, is_mom, recurrence_from, singularities, to_delta
@@ -44,8 +46,8 @@ from .errors import (
     SylvesterSingular,
 )
 from .fields import QQ, PrimeField, is_prime
-from .linalg import kernel_basis, mat_add, mat_mul
-from .poly import Poly
+from .linalg import kernel_basis
+from .poly import Poly, content
 from .ratfun import RatFun, common_denominator
 from .series import TruncSeries, ratfun_series, section_decomposition
 
@@ -630,6 +632,11 @@ def frobenius_shadow(L, p, T, solution=None):
 
         F_m = m LY_m + (1/p) LY_m J - sum_{k<m} F_k LY_{m-k}.
 
+    Both loops run on integer numerator matrices, each over one denominator > 0
+    and cut by one gcd, with den and M's last row cleared by their content.  The
+    Sylvester step is solved on m^(2n-1) R, so its divisions by m are exact:
+    entry (i, j) of Y_m is (n-1-i) + j + 1 <= 2n - 1 of them deep.
+
     Checks p F(0) = G(0) exactly.  When the distinguished series solution f
     (f(0) = 1) is supplied, the construction additionally verifies that the
     last row of F annihilates
@@ -649,31 +656,44 @@ def frobenius_shadow(L, p, T, solution=None):
     # M = den J + e_n last (its last row); with the common power of z divided out, the
     # coefficient of z^m in den delta Y = M Y - den Y J is
     # den_0 (m - ad_J) Y_m = sum_{i=1..s} e_n last_i Y_{m-i} - den_i (m - i - ad_J) Y_{m-i}
-    v = min(P.valuation() for P in (den, *M[n - 1]) if P)
-    s = max(P.degree() for P in (den, *M[n - 1])) - v
-    last = [[[P[i + v] for P in M[n - 1]]] for i in range(s + 1)]
-    Y = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
+    polys = (den, *M[n - 1])
+    v = min(P.valuation() for P in polys if P)
+    s = max(P.degree() for P in polys) - v
+    cont = content(polys)
+    rows = [[int(P[i + v] / cont) for P in polys] for i in range(s + 1)]  # (den_i, *last_i) over Z
+    Ycs, Fcs = ([[[] for _ in range(n)] for _ in range(n)] for _ in range(2))
+    Ym = _reduced([[int(i == j) for j in range(n)] for i in range(n)], 1, Ycs)
+    window, LY = deque([Ym], maxlen=s), [Ym]  # window[i - 1] = Y_(m-i), as (numerators, denominator)
     for m in range(1, T):
-        R = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(1, min(m, s) + 1):
-            Yk, d = Y[m - i], den[i + v]
-            if d:
-                R = [[r - d * a for r, a in zip(*rs)] for rs in zip(R, _ad_shift(Yk, m - i))]
-            R[-1] = mat_add(R[-1:], mat_mul(last[i], Yk))[0]
-        Y.append(_ad_shift_solve([[r / den[v] for r in row] for row in R], m))
+        e = lcm(*(d for _, d in window))  # R's denominator
+        R = [[0] * n for _ in range(n)]
+        for i, (Yk, d) in enumerate(window, start=1):
+            c, (di, *last) = e // d, rows[i]
+            if di:
+                R = [[r - c * di * a for r, a in zip(*rs)] for rs in zip(R, _ad_shift(Yk, m - i))]
+            R[-1] = [r + c * sum(map(mul, last, col)) for r, col in zip(R[-1], zip(*Yk))]
+        Ym = _reduced(_ad_shift_solve(R, m), m ** (2 * n - 1) * rows[0][0] * e, Ycs)
+        window.appendleft(Ym)
+        if m % p == 0:
+            LY.append(Ym)
 
-    LY = Y[::p]
     F = []
-    for m, LYm in enumerate(LY):
-        Fm = [[m * y + (row[j - 1] / p if j else 0) for j, y in enumerate(row)] for row in LYm]
-        if m:
-            S = reduce(mat_add, (mat_mul(F[k], LY[m - k]) for k in range(m)))
-            Fm = [[a - b for a, b in zip(*rs)] for rs in zip(Fm, S)]
-        F.append(Fm)
-    if any(p * F[0][i][j] != int(j == i + 1) for i in range(n) for j in range(n)):
+    for m, (LYm, l) in enumerate(LY):
+        # over E = lcm(p l_m, fd_k l_(m-k)) every term's scale factor E / its denominator is exact
+        dens = [fd * LY[m - k][1] for k, (_, fd) in enumerate(F)]
+        E = lcm(p * l, *dens)
+        a = E // (p * l)
+        Fm = [[a * (m * p * y + (row[j - 1] if j else 0)) for j, y in enumerate(row)] for row in LYm]
+        for k, ((Fk, _), d) in enumerate(zip(F, dens)):
+            c, cols = E // d, list(zip(*LY[m - k][0]))
+            Fm = [[t - c * sum(map(mul, frow, col)) for t, col in zip(row, cols)] for row, frow in zip(Fm, Fk)]
+        F.append(_reduced(Fm, E, Fcs))
+    del window, LY, F  # free the integer forms before the residual check; Ycs and Fcs hold the result
+    if any(p * Fcs[i][j][0] != int(j == i + 1) for i in range(n) for j in range(n)):
         raise SylvesterSingular("p F(0) != G(0); shadow construction failed")
 
-    shadow = FrobShadow(F=_series_matrix(F), Y=_series_matrix(Y), p=p, T=T)
+    F, Y = (tuple(tuple(TruncSeries(QQ, c) for c in row) for row in cs) for cs in (Fcs, Ycs))
+    shadow = FrobShadow(F=F, Y=Y, p=p, T=T)
     if solution is not None:
         residual = cartier_row_residual(shadow, solution)
         if not residual.is_zero():
@@ -716,18 +736,22 @@ def _ad_shift(Y, c):
 
 
 def _ad_shift_solve(R, m):
-    """Y with (m - ad_J) Y = R, i.e. m Y[i][j] - Y[i+1][j] + Y[i][j-1] = R[i][j], last row first."""
-    Y, below = [], [0] * len(R)
+    """W = m^(2n-1) Y, an integer matrix, for (m - ad_J) Y = R: m W[i][j] - W[i+1][j] + W[i][j-1] = m^(2n-1) R[i][j]."""
+    mk, W, below = m ** (2 * len(R) - 1), [], [0] * len(R)
     for Ri in reversed(R):
         row = [0]
         for r, b in zip(Ri, below):
-            row.append((r + b - row[-1]) / m)
+            row.append((mk * r + b - row[-1]) // m)
         below = row[1:]
-        Y.append(below)
-    return Y[::-1]
+        W.append(below)
+    return W[::-1]
 
 
-def _series_matrix(coeffs):
-    """The n x n matrix of TruncSeries whose coefficient of z^m is coeffs[m]."""
-    n = len(coeffs[0])
-    return tuple(tuple(TruncSeries(QQ, [c[i][j] for c in coeffs]) for j in range(n)) for i in range(n))
+def _reduced(N, d, cs):
+    """N / d cut by one gcd to a denominator > 0; its Fractions are appended to the coefficient lists cs."""
+    g = gcd(d, *(x for row in N for x in row)) * (-1 if d < 0 else 1)
+    N, d = [[x // g for x in row] for row in N], d // g
+    for crow, row in zip(cs, N):
+        for c, x in zip(crow, row):
+            c.append(Fraction(x, d))
+    return N, d

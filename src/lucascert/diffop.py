@@ -21,6 +21,8 @@ operator, so MOM tests, good primes and certificates share it.
 """
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -552,7 +554,7 @@ def _int_poly_pair(r):
 
 
 def json_value(data):
-    """`data`, parsed first when it is JSON text; bad text is a ParseError."""
+    """`data`, parsed first when it is JSON text; bad text, or an int literal too long for int(), is a ParseError."""
     if not isinstance(data, str):
         return data
     try:
@@ -561,6 +563,12 @@ def json_value(data):
         raise ParseError(f"invalid JSON: {exc.msg}", location=f"char {exc.pos}") from exc
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
+    except ValueError:  # an int literal past sys.get_int_max_str_digits(): locate the first outside a string
+        limit = sys.get_int_max_str_digits()
+        ints = re.finditer(r'"(?:[^"\\]|\\.)*"|(?<![\d.eE+-])-?(\d+)(?![\d.eE])', data)
+        at = next((m.start() for m in ints if len(m[1] or "") > limit), None)
+        raise ParseError(f"integer literal of more than {limit} digits",
+                         location=None if at is None else f"char {at}") from None
 
 
 def diffop_from_json(data, field=QQ):

@@ -103,7 +103,7 @@ def test_batch_report_expands_each_q_series_once(monkeypatch):
     calls = []
     gen_terms = casebook.gen_terms
     monkeypatch.setattr(casebook, "gen_terms", lambda g, T: calls.append((g.name, T)) or gen_terms(g, T))
-    cached = (casebook._series_over_q, casebook._fr_operator_checks)
+    cached = (casebook._series_over_q, casebook._fr_operator_checks, casebook._2f1_q_identities)
     for fn in cached:
         fn.cache_clear()
     try:
@@ -115,6 +115,19 @@ def test_batch_report_expands_each_q_series_once(monkeypatch):
     assert sorted(calls) == sorted(set(calls))
     assert set(calls) == {("f1", 500), ("f2", 500), ("f2", 300), ("g2", 300), ("f3", 300), ("g3", 300),
                           ("apery", 300)}
+
+
+def test_2f1_q_identities_computed_once_across_primes():
+    # f2-from-f1 and f1-from-f2 hold over Q and do not depend on p: one computation per T
+    casebook._2f1_q_identities.cache_clear()
+    try:
+        results = batch_report([3, 5, 7, 11], ["2f1"])
+        info = casebook._2f1_q_identities.cache_info()
+    finally:
+        casebook._2f1_q_identities.cache_clear()
+    assert all(r.passed for r in results)
+    assert all(label in [c[0] for c in r.checks] for r in results for label in ("f2-from-f1", "f1-from-f2"))
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_batch_report_empty_cases():

@@ -639,6 +639,7 @@ def _assert_shadow_matches_oracle(L, p, T):
     ]
     # F (Lambda_p Y) = delta(Lambda_p Y) + (1/p) Lambda_p(Y) G(0) to the length of F
     Tp = len(sh.F[0][0])
+    assert Tp == -(-T // p)
     LY = [[TruncSeries(QQ, [Y[m][i][j] for m in range(T)]).cartier(p, 0).truncate(Tp)
            for j in range(n)] for i in range(n)]
     G0p = [[TruncSeries(QQ, [v / p] + [0] * (Tp - 1)) for v in row] for row in G0]
@@ -652,11 +653,26 @@ def _assert_shadow_matches_oracle(L, p, T):
 @pytest.mark.parametrize(
     "name,p,T",
     [("f2", 3, 120), ("f2", 5, 120), ("g2", 3, 120), ("g3", 5, 100), ("f3", 7, 98),
-     ("apery", 3, 60), ("apery", 5, 100), ("fr4", 5, 60)],
+     ("apery", 3, 60), ("apery", 5, 100), ("fr4", 5, 60),
+     # T <= p leaves Lambda_p Y one term and F = J/p; T = p + 1 gives F two terms
+     ("f2", 3, 1), ("f2", 3, 3), ("f2", 5, 4), ("apery", 7, 7), ("apery", 5, 6)],
 )
 def test_shadow_recurrence_matches_convolution_oracle(name, p, T):
     L = hypergeometric_fr_operator(4) if name == "fr4" else CAT[name].operator
     _assert_shadow_matches_oracle(L, p, T)
+
+
+@pytest.mark.parametrize(
+    "polys,p,T",
+    [
+        # leading constant -3: den_0 < 0, so each denominator's sign is normalised
+        ([[0, -8], [0, -48], [0, -96], [-3, 192]], 5, 80),
+        # non-integral companion coefficients: den and the last row are scaled by 42
+        ([[0, Fraction(1, 7)], [0, Fraction(2, 3)], [5, Fraction(3, 2)]], 3, 60),
+    ],
+)
+def test_shadow_integer_scale_and_sign(polys, p, T):
+    _assert_shadow_matches_oracle(diffop_from_polys(QQ, "delta", polys), p, T)
 
 
 def test_shadow_common_power_of_z_divided_out():

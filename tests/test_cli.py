@@ -153,6 +153,19 @@ def test_opinfo_malformed(tmp_path, capsys):
     assert main(["opinfo", str(bad)]) == 1
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before 3.10.7")
+def test_operator_integer_literal_past_the_int_digit_limit(tmp_path, capsys):
+    # json.loads raises a bare ValueError on an int literal of more than sys.get_int_max_str_digits()
+    path = tmp_path / "op.json"
+    literal = "7" * 5000
+    text = '{"basis": "delta", "coeffs": [{"num": [%s]}, {"num": [1, -4]}]}' % literal
+    path.write_text(text)
+    assert main(["opinfo", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"(at char {text.index(literal)})" in err and f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "Traceback" not in err
+
+
 def test_directory_as_path_is_input_error(tmp_path, capsys):
     assert main(["opinfo", str(tmp_path)]) == 1
     assert main(["expand", "f2", "--T", "64", "--out", str(tmp_path)]) == 1
