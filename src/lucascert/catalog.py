@@ -129,7 +129,7 @@ def series_mod_p(g, p, T):
         return reduce_series_mod_p(series_over_q(g, T), p)
     if T < 1:
         raise ValueError("T must be >= 1")
-    return TruncSeries(PrimeField(p), route(g, p, T))  # PrimeField rejects a non-prime p first
+    return TruncSeries._canonical(PrimeField(p), route(g, p, T))  # PrimeField rejects a non-prime p first
 
 
 def _central_binomials_mod_p(T, p):

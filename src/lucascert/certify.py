@@ -256,7 +256,7 @@ def split_elimination(f_p, d, p, normalize=True):
             raise ReconstructionFailed("series vanished under z^p stripping")
         if any(f_p.coeffs[:p]):
             raise ReconstructionFailed("f(0) = 0 but the first p coefficients are not all zero")
-        f_p = TruncSeries(field, f_p.coeffs[p:])
+        f_p = TruncSeries._canonical(field, f_p.coeffs[p:])
         if f_p.is_zero():
             raise ReconstructionFailed("zero series cannot be split")
     need = p * (d + 1) + p * d

@@ -5,9 +5,9 @@ over Q, an int residue in [0, p) over F_p.  Arithmetic on them is Python's
 own `+ - *`; a zero test is truthiness, and equality of canonical elements
 is equality of values.  A field object keeps only what the elements cannot
 say for themselves: `zero`, `one`, `char`, `coerce` (any int or Fraction
-into canonical form, the one place a value is reduced) and `inv`.  It is
-attached to every Poly / TruncSeries so that mixed-field operations fail
-loudly.  Field objects are stateless and hashable.
+into canonical form, for the public Poly and TruncSeries constructors) and
+`inv`.  It is attached to every Poly / TruncSeries so that mixed-field
+operations fail loudly.  Field objects are stateless and hashable.
 """
 
 from fractions import Fraction

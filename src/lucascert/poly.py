@@ -2,15 +2,15 @@
 
 Coefficients are stored lowest degree first in a tuple with no trailing
 zeros; the zero polynomial is the empty tuple.  Every stored coefficient
-is canonical (see `fields`): the constructor coerces what it is given, and
-is the one place results are reduced.  The arithmetic below therefore runs
-on Python's `+ - *` and hands unreduced lists to the constructor; only a
-loop that reads back an intermediate value (the leading remainder term in
-`divmod`, the Horner accumulator in `eval`, the running product in
-`resultant`) coerces it, once, where it is read.  Multiplication over a
-prime field packs coefficients into a single big integer (Kronecker
-substitution) so that products of the large polynomial powers showing up
-in certificate heights stay cheap.
+is canonical (see `fields`).  The public constructor coerces its input, so
+sums run on Python's `+ - *` and hand it unreduced lists; results that are
+canonical by construction (`convolve`'s products, a scatter) go through the
+private `_canonical` constructor.  A loop that reads back an intermediate
+value (the leading remainder term in `divmod`, the Horner accumulator in
+`eval`, the running product in `resultant`) coerces it once, where it is
+read.  Multiplication over a prime field packs coefficients into a single
+big integer (Kronecker substitution) so that products of the large
+polynomial powers showing up in certificate heights stay cheap.
 
 Irreducible factorization splits off squarefree parts here and factors
 each one with the algorithms of `factoring`, which run on this class;
@@ -18,15 +18,18 @@ everything else is implemented here directly: division, and the
 Euclidean remainder sequence behind gcd, resultant and discriminant.
 """
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
 
-from .fields import QQ, PrimeField
+from .fields import QQ
 
 # Kronecker packing costs about one conversion per operand coefficient,
 # schoolbook one field multiply per coefficient pair: pack once the pairs
 # outnumber the coefficients this many times over
 _KRONECKER_CUTOFF = 2
+_CELL_CODES = sorted((array(code).itemsize, code) for code in "BHIQ")
 
 
 class Poly:
@@ -38,6 +41,16 @@ class Poly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _canonical(cls, field, coeffs):
+        """A Poly of coefficients that are already canonical: only trailing zeros are dropped."""
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        P = object.__new__(cls)
+        P.field, P.coeffs = field, tuple(coeffs[:n])
+        return P
 
     # -- constructors -------------------------------------------------
 
@@ -121,7 +134,7 @@ class Poly:
     def __mul__(self, other):
         self._check(other)
         a, b = self.coeffs, other.coeffs
-        return Poly(self.field, convolve(self.field, a, b, len(a) + len(b) - 1))
+        return Poly._canonical(self.field, convolve(self.field, a, b, len(a) + len(b) - 1))
 
     def scale(self, c):
         f = self.field
@@ -203,11 +216,9 @@ class Poly:
             raise ValueError("power must be >= 1")
         if k == 1 or self.is_zero():
             return self
-        f = self.field
-        out = [f.zero] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return Poly(f, out)
+        out = [self.field.zero] * ((len(self.coeffs) - 1) * k + 1)
+        out[::k] = self.coeffs
+        return Poly._canonical(self.field, out)
 
     def reverse(self):
         """Coefficient reversal z^deg * p(1/z); drops any root at 0."""
@@ -391,16 +402,17 @@ def convolve(field, a, b, n):
     """The first n coefficients of the product of coefficient sequences a and b.
 
     The one product loop of the library, shared by Poly and TruncSeries.
-    a and b hold canonical coefficients.  Over F_p, operands that are long
-    enough go through Kronecker substitution; everything else is
-    schoolbook, skipping zero terms and adding up the products unreduced:
-    its output is for a Poly or TruncSeries constructor to reduce.
+    a, b and the output hold canonical coefficients.  Over F_p, operands
+    that are long enough go through Kronecker substitution; everything else
+    is schoolbook, skipping zero terms and adding up the products
+    unreduced, with one `% p` per output coefficient at the end.
     """
     a, b = a[:n], b[:n]
     if not a or not b:
         return [field.zero] * n
-    if isinstance(field, PrimeField) and len(a) * len(b) >= _KRONECKER_CUTOFF * (len(a) + len(b)):
-        out = _kronecker_mul(a, b, field.p, n)
+    p = field.char  # 0 over Q
+    if p and len(a) * len(b) >= _KRONECKER_CUTOFF * (len(a) + len(b)):
+        out = _kronecker_mul(a, b, p, n)
         return out + [0] * (n - len(out))
     terms = [(j, y) for j, y in enumerate(b) if y]
     out = [field.zero] * n
@@ -411,15 +423,26 @@ def convolve(field, a, b, n):
             if i + j >= n:
                 break
             out[i + j] += x * y
-    return out
+    return [c % p for c in out] if p else out
 
 
 def _kronecker_mul(a, b, p, n):
-    """First n product coefficients over F_p, by packing each operand into one big integer."""
+    """First n product coefficients over F_p, by packing each operand into one big integer.
+
+    Cells of up to 8 bytes pack through a native-endian `array`, wider ones
+    one coefficient at a time.  The product fills exactly len(a) + len(b) - 1
+    cells, so its low cells come first in either byte order.
+    """
     cell_bits = (min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 1
     width = (cell_bits + 7) // 8
-    ia = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-    ib = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
     n = min(n, len(a) + len(b) - 1)
-    raw = (ia * ib).to_bytes(width * (len(a) + len(b)), "little")
-    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") % p for i in range(n)]
+    cell = next(((size, code) for size, code in _CELL_CODES if size >= width), None)
+    if cell is None:
+        ia = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
+        ib = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
+        raw = (ia * ib).to_bytes(width * (len(a) + len(b)), "little")
+        return [int.from_bytes(raw[i * width : (i + 1) * width], "little") % p for i in range(n)]
+    width, code = cell
+    ia, ib = (int.from_bytes(array(code, cs).tobytes(), sys.byteorder) for cs in (a, b))
+    raw = (ia * ib).to_bytes(width * (len(a) + len(b) - 1), sys.byteorder)
+    return [c % p for c in array(code, raw[: width * n])]

@@ -1,14 +1,13 @@
 """Truncated power series, the carrier of every mod-p computation.
 
 A TruncSeries stores exactly T coefficients (orders 0..T-1) over Q or F_p,
-each canonical (see `fields`): the constructor coerces what it is given and
-is the one place results are reduced, so the arithmetic runs on Python's
-`+ - *`, and comparing canonical coefficients is comparing values.  Only
-`div_poly`, whose recurrence reads back its own output, coerces each term
-where it is produced.  Arithmetic between two series truncates to the
-shorter operand; the library never extends a series silently.  Equality is
-always "to order T" and the comparison helpers make the certified order
-explicit.
+each canonical (see `fields`).  The public constructor coerces its input,
+so sums run on Python's `+ - *`; results that are canonical by construction
+(`convolve`'s products, slices, scatters, and `div_poly`, whose recurrence
+coerces each term it reads back) go through the private `_canonical`
+constructor.  Arithmetic between two series truncates to the shorter
+operand; the library never extends a series silently.  Equality is always
+"to order T" and the comparison helpers make the certified order explicit.
 
 Includes the section/Cartier operator family: cartier(f, p, r) extracts the
 coefficients of index r mod p, compose_power substitutes z -> z^(p^k), and
@@ -30,18 +29,25 @@ class TruncSeries:
         self.coeffs = tuple(map(field.coerce, coeffs))
 
     @classmethod
+    def _canonical(cls, field, coeffs):
+        """A series of coefficients that are already canonical, stored as given."""
+        S = object.__new__(cls)
+        S.field, S.coeffs = field, tuple(coeffs)
+        return S
+
+    @classmethod
     def zero(cls, field, T):
-        return cls(field, [field.zero] * T)
+        return cls._canonical(field, [field.zero] * T)
 
     @classmethod
     def one(cls, field, T):
-        return cls(field, [field.one] + [field.zero] * (T - 1))
+        return cls._canonical(field, [field.one] + [field.zero] * (T - 1))
 
     @classmethod
     def from_poly(cls, p, T):
         cs = list(p.coeffs[:T])
         cs += [p.field.zero] * (T - len(cs))
-        return cls(p.field, cs)
+        return cls._canonical(p.field, cs)
 
     def __getitem__(self, n):
         return self.coeffs[n]
@@ -50,18 +56,18 @@ class TruncSeries:
         return len(self.coeffs)
 
     def truncate(self, T):
-        if T > len(self.coeffs):
-            raise ValueError("cannot extend a truncated series")
+        if not 0 <= T <= len(self.coeffs):
+            raise ValueError(f"cannot truncate a series of order {len(self.coeffs)} to {T}")
         if T == len(self.coeffs):
             return self  # series are immutable
-        return TruncSeries(self.field, self.coeffs[:T])
+        return TruncSeries._canonical(self.field, self.coeffs[:T])
 
     def is_zero(self):
         return not any(self.coeffs)
 
     def poly(self):
         """The coefficients as a polynomial (trailing zeros dropped)."""
-        return Poly(self.field, self.coeffs)
+        return Poly._canonical(self.field, self.coeffs)
 
     def _check(self, other):
         if not isinstance(other, TruncSeries) or other.field != self.field:
@@ -84,14 +90,14 @@ class TruncSeries:
         self._check(other)
         f = self.field
         T = min(len(self.coeffs), len(other.coeffs))
-        return TruncSeries(f, convolve(f, self.coeffs, other.coeffs, T))
+        return TruncSeries._canonical(f, convolve(f, self.coeffs, other.coeffs, T))
 
     def mul_poly(self, p):
         """Multiply by an exact polynomial; keeps this series' truncation order."""
         if p.field != self.field:
             raise TypeError("series/polynomial fields do not match")
         f = self.field
-        return TruncSeries(f, convolve(f, self.coeffs, p.coeffs, len(self.coeffs)))
+        return TruncSeries._canonical(f, convolve(f, self.coeffs, p.coeffs, len(self.coeffs)))
 
     def scale(self, c):
         f = self.field
@@ -131,7 +137,7 @@ class TruncSeries:
                 if pj:
                     acc -= pj * out[m - j]
             out.append(f.coerce(inv0 * acc))
-        return TruncSeries(f, out)
+        return TruncSeries._canonical(f, out)
 
     # -- section operators -------------------------------------------------
 
@@ -143,7 +149,7 @@ class TruncSeries:
         """
         if not 0 <= r < p:
             raise ValueError("need 0 <= r < p")
-        return TruncSeries(self.field, self.coeffs[r::p])
+        return TruncSeries._canonical(self.field, self.coeffs[r::p])
 
     def compose_power(self, p, k, out_len=None):
         """Substitute z -> z^(p^k).
@@ -156,15 +162,11 @@ class TruncSeries:
         T = len(self.coeffs)
         if out_len is None:
             out_len = T
-        if out_len > T * q:
-            raise ValueError("requested order exceeds what the input determines")
-        f = self.field
-        out = [f.zero] * out_len
-        for i, c in enumerate(self.coeffs):
-            if i * q >= out_len:
-                break
-            out[i * q] = c
-        return TruncSeries(f, out)
+        if not 0 <= out_len <= T * q:
+            raise ValueError(f"requested order {out_len} is negative or exceeds what the input determines")
+        out = [self.field.zero] * out_len
+        out[::q] = self.coeffs[: -(-out_len // q)]
+        return TruncSeries._canonical(self.field, out)
 
     def delta(self):
         """Euler operator z d/dz: coefficient n maps to n * a(n)."""
@@ -219,7 +221,7 @@ def reduce_series_mod_p(f, p):
         if c.denominator % p == 0:
             raise NotPLocal(p, value=c, index=i)
         out.append(reduce_rat_mod_p(c, p))
-    return TruncSeries(PrimeField(p), out)
+    return TruncSeries._canonical(PrimeField(p), out)
 
 
 def ratfun_series(a, T):

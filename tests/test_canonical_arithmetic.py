@@ -1,24 +1,33 @@
 """Derandomized property test of the coefficient arithmetic on canonical elements.
 
 Poly, TruncSeries and kernel_basis run on Python's `+ - *` and rely on
-their constructors (and a few read-back points) to reduce.  Each operation
-here is compared with plain-list reference arithmetic: an explicit `% p`
-and `pow(., -1, p)` over F_p, `Fraction` arithmetic over Q.  Inputs are
-passed to the public constructors non-canonical (negative ints, ints >= p,
-Fractions), operands are empty, of length 1, and on both sides of the
-Kronecker cutoff, and every result must hold canonical coefficients only.
+their public constructors (and a few read-back points) to reduce; products,
+slices and scatters are canonical by construction and skip that reduction.
+Each operation here is compared with plain-list reference arithmetic: an
+explicit `% p` and `pow(., -1, p)` over F_p, `Fraction` arithmetic over Q.
+Inputs are passed to the public constructors non-canonical (negative ints,
+ints >= p, Fractions), operands are empty, of length 1, and on both sides
+of the Kronecker cutoff, and every result must hold canonical coefficients
+only.  Two mutants of the product path show that this oracle sees a
+result that skipped its reduction.
 """
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
-from lucascert import GF, QQ, Poly, PrimeField, RationalField, TruncSeries
+from lucascert import GF, QQ, Poly, PrimeField, RationalField, TruncSeries, poly, series
 from lucascert.linalg import kernel_basis
 from lucascert.poly import _KRONECKER_CUTOFF
 
-FIELDS = [GF(2), GF(3), GF(37), GF(2**31 - 1), QQ]
+# Kronecker cells hold min(len(a), len(b)) * (p - 1)^2 plus a guard bit, so
+# with LENGTHS these fields reach every packing: 1-byte cells (`B`) on GF(2)
+# and on GF(3) below length 40; 2-byte cells (`H`) on GF(3) at length 40 and
+# GF(37) below it; 3-4-byte cells (`I`) on GF(37) at length 40; 5-8-byte
+# cells (`Q`) on GF(65521) at every length; the bytes path on GF(2**31 - 1)
+FIELDS = [GF(2), GF(3), GF(37), GF(65521), GF(2**31 - 1), QQ]
 LENGTHS = (0, 1, 2, 3, 4, 5, 7, 12, 40)
 
 
@@ -250,3 +259,95 @@ def test_fields_keep_only_coerce_and_inv():
     for cls in (RationalField, PrimeField):
         for name in ("add", "sub", "mul", "neg", "div", "is_zero", "__call__"):
             assert name not in vars(cls), (cls, name)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_reshapes_match_list_reference(field, q):
+    """truncate, cartier and compose_power against slices and scatters of plain lists."""
+    p = p_of(field)
+    rng = random.Random(5000 + q + (p or 0) % 1000)
+    zero = red(0, p)
+    for T in LENGTHS:
+        a_raw = raw_list(rng, p, T)
+        a = [red(v, p) for v in a_raw]
+        S = TruncSeries(field, a_raw)
+        for n in range(T + 1):
+            check_series(S.truncate(n), a[:n])
+        for r in range(q):
+            check_series(S.cartier(q, r), a[r::q])
+        for k in (0, 1, 2):
+            step = q**k
+            for out_len in {max(T - 1, 0), T, T * step}:
+                want = [zero] * out_len
+                for i, c in enumerate(a):
+                    if i * step < out_len:
+                        want[i * step] = c
+                check_series(S.compose_power(q, k, out_len=out_len), want)
+
+
+def test_negative_lengths_are_refused():
+    S = TruncSeries(GF(5), [1, 2, 3, 4])
+    with pytest.raises(ValueError):
+        S.truncate(-1)
+    with pytest.raises(ValueError):
+        S.compose_power(5, 1, out_len=-3)
+
+
+def product_checks(shapes, p=37):
+    """Oracle checks of Poly and TruncSeries products whose operands are all p - 1.
+
+    Every product cell is then at least p before its reduction, so a cell
+    that skipped it shows.
+    """
+    field, checks = GF(p), []
+    for la, lb in shapes:
+        a, b = [p - 1] * la, [p - 1] * lb
+        A, B = Poly(field, a), Poly(field, b)
+        S, U = TruncSeries(field, a), TruncSeries(field, b)
+        want = ref_mul(a, b, p)
+        checks += [
+            lambda A=A, B=B, want=want: check_poly(A * B, want),
+            lambda S=S, U=U, want=want, n=min(la, lb): check_series(S * U, want[:n]),
+            lambda S=S, B=B, want=want, n=la: check_series(S.mul_poly(B), want[:n]),
+        ]
+    return checks
+
+
+# shapes on each side of the Kronecker cutoff, for Poly, series and mul_poly
+# products alike (a series product truncates both operands to the shorter)
+KRONECKER_SHAPES = [(12, 12)]
+SCHOOLBOOK_SHAPES = [(12, 2), (3, 3)]
+
+
+def test_oracle_catches_a_kronecker_cell_left_at_c_plus_p(monkeypatch):
+    kronecker = poly._kronecker_mul
+
+    def one_cell_plus_p(a, b, p, n):
+        out = kronecker(a, b, p, n)
+        out[n // 2] += p
+        return out
+
+    checks = product_checks(KRONECKER_SHAPES)
+    for check in checks:
+        check()
+    monkeypatch.setattr(poly, "_kronecker_mul", one_cell_plus_p)
+    for check in checks:
+        with pytest.raises(AssertionError):
+            check()
+
+
+def test_oracle_catches_a_schoolbook_product_left_unreduced(monkeypatch):
+    source = inspect.getsource(poly.convolve)
+    final = "return [c % p for c in out] if p else out"
+    assert source.count(final) == 1
+    namespace = dict(vars(poly))
+    exec(source.replace(final, "return out"), namespace)
+    checks = product_checks(SCHOOLBOOK_SHAPES)
+    for check in checks:
+        check()
+    for module in (poly, series):
+        monkeypatch.setattr(module, "convolve", namespace["convolve"])
+    for check in checks:
+        with pytest.raises(AssertionError):
+            check()
