@@ -16,17 +16,22 @@ operator of order n with at most r finite singular points:
      Lambda_p^l f = Lambda_p^(2l) f;
   5. assembly: A_p = A_{0,l} * (A_{l,l} / A_{0,l})^(p^l) satisfies
      f|_p(z) = A_p(z) f|_p(z^(p^l)), height <= 2C p^(2l); when a = 0 the
-     formula collapses to A_{0,l} with height <= C p^l.
+     formula collapses to A_{0,l}, height <= C p^l, and A_{l,l} is not built.
 
-All series identities are certified to an explicit truncation order by an
-independent multiply-and-compare pass; the rational functions themselves are
-exact finite objects.  A companion construction computes, entirely over Q,
-the uniform part Y of the delta-companion system, whose G(0) is the shift J
-for a MOM operator, and the weak Frobenius matrix
-F = [delta(Lambda_p Y) + (1/p) Lambda_p(Y) J] (Lambda_p Y)^(-1) by the
-coefficient recurrence of F Lambda_p(Y) = delta(Lambda_p Y) + (1/p) Lambda_p(Y) J,
-with no series inverse.  The last row of F annihilates the Cartier image of
-the solution vector.
+The rational functions are exact finite objects.  Each series identity is
+checked once, to an explicit order, by multiply-and-compare: each step by its
+split (_finish_split) to the full order of its Cartier iterate, the orbit by
+equality of iterates, and the assembled identity by one final pass
+(_verify_power_identity) to the full order T, which is its verified_to.
+Every height bound is a hard error.
+
+A companion construction computes, entirely over Q, the uniform part Y of the
+delta-companion system, whose G(0) is the shift J for a MOM operator, and the
+weak Frobenius matrix F = [delta(Lambda_p Y) + (1/p) Lambda_p(Y) J] (Lambda_p Y)^(-1)
+by the coefficient recurrence of
+F Lambda_p(Y) = delta(Lambda_p Y) + (1/p) Lambda_p(Y) J, with no series
+inverse.  The last row of F annihilates the Cartier image of the solution
+vector.
 """
 
 from collections import deque
@@ -122,7 +127,7 @@ class FrobShadow:
 # -- splitting -----------------------------------------------------------------
 
 
-def split_pade(f_p, d, p, normalize=True):
+def split_pade(f_p, d, p):
     """Split via rational reconstruction of the section ratios.
 
     Each section cartier(f, p, r) equals P_r(z) c(z) where
@@ -164,8 +169,7 @@ def split_pade(f_p, d, p, normalize=True):
     P = Poly.zero(field)
     for r, q in enumerate(parts):
         P = P + q.compose_power(p).shift(r)
-    witness = _finish_split(f_p, P, d, p, normalize)
-    return witness
+    return _finish_split(f_p, P, d, p, normalize=True)
 
 
 def pade_ratio(num_series, den_series, deg_bound):
@@ -327,14 +331,7 @@ def certificate_prop62(f_p, n, r, p, span=None, series_name=""):
     0, so A is a power series.  The identity is re-verified independently to
     the full available order; a height above the bound is a hard error.
     """
-    d = span if span is not None else n * r
-    if d > n * r:
-        raise ValueError("span exceeds the Fuchsian degree bound n*r")
-    witness = split_pade(f_p, d, p)
-    A = _prop62_ratfun(witness.P, p)
-    bound = n * r * p - 1
-    if A.height > bound:
-        raise HeightBoundViolated(A.height, bound, what="one-step certificate")
+    A, bound = _step_ratfun(f_p, n, r, p, span)
     verified = _verify_power_identity(f_p, A, f_p.cartier(p, 0), p, 1)
     return Certificate(
         p=p,
@@ -348,10 +345,21 @@ def certificate_prop62(f_p, n, r, p, span=None, series_name=""):
     )
 
 
-def _prop62_ratfun(P, p):
-    field = P.field
-    lam = Poly(field, P.coeffs[::p])  # Lambda_p(P)
-    return RatFun(P, lam.compose_power(p))
+def _step_ratfun(f_p, n, r, p, span):
+    """(A, nrp - 1): the height-checked step A = P / Lambda_p(P)(z^p) of f_p.
+
+    The split's check, f = P_hat c(z^p) to the order of f (P = z^v P_hat), is
+    this step's identity times the unit Lambda_p(P_hat)(z^p).
+    """
+    d = span if span is not None else n * r
+    if d > n * r:
+        raise ValueError("span exceeds the Fuchsian degree bound n*r")
+    P = split_pade(f_p, d, p).P
+    A = RatFun(P, Poly(P.field, P.coeffs[::p]).compose_power(p))
+    bound = n * r * p - 1
+    if A.height > bound:
+        raise HeightBoundViolated(A.height, bound, what="one-step certificate")
+    return A, bound
 
 
 def _verify_power_identity(f, A, g, p, m):
@@ -359,10 +367,8 @@ def _verify_power_identity(f, A, g, p, m):
     T = len(f)
     composed = g.compose_power(p, m, out_len=min(T, len(g) * p**m))
     T = min(T, len(composed))
-    lhs = f.truncate(T).mul_poly(A.den)
-    rhs = composed.truncate(T).mul_poly(A.num)
-    if not lhs.eq_to_order(rhs, T):
-        idx = lhs.first_difference(rhs)
+    idx = f.truncate(T).mul_poly(A.den).first_difference(composed.truncate(T).mul_poly(A.num))
+    if idx is not None:
         raise ReconstructionFailed(f"certificate identity fails at order {idx}")
     return T
 
@@ -370,23 +376,21 @@ def _verify_power_identity(f, A, g, p, m):
 def iterate_certificates(f_p, i, m, p, n, r, span=None):
     """The rational function A_{i,m} with Lambda^i f = A_{i,m} (Lambda^(i+m) f)^(p^m).
 
-    Built by the telescoping product A_{i,m+1} = A_{i,m} * (step)^(p^m) over
-    the one-step certificates of the successive Cartier iterates; the base
-    case A_{i,0} = 1.  Heights obey height(A_{i,m}) <= 2nr p^m.
+    The telescoping product A_{i,k+1} = A_{i,k} * (step of Lambda^(i+k) f)^(p^k)
+    from A_{i,0} = 1.  Each step's split checks it to the full order of its
+    iterate, which z -> z^(p^k) carries to the order of Lambda^i f, so no pass
+    re-checks the product.  Heights obey height(A_{i,m}) <= 2nr p^m.
     """
-    field = f_p.field
-    iterates = [f_p]
-    for _ in range(i + m):
-        iterates.append(iterates[-1].cartier(p, 0))
-    A = RatFun.one(field)
+    g = f_p
+    for _ in range(i):
+        g = g.cartier(p, 0)
+    A = RatFun.one(f_p.field)
     for k in range(m):
-        step = certificate_prop62(iterates[i + k], n, r, p, span=span)
-        A = A * step.A ** (p**k)
+        A = A * _step_ratfun(g, n, r, p, span)[0] ** (p**k)
         partial_bound = 2 * n * r * p ** (k + 1)
         if A.height > partial_bound:
             raise HeightBoundViolated(A.height, partial_bound, what="iterated certificate")
-    if m > 0:
-        _verify_power_identity(iterates[i], A, iterates[i + m], p, m)
+        g = g.cartier(p, 0)
     return A
 
 
@@ -447,7 +451,8 @@ def assemble_certificate(seqgen, p, T=None):
     probe's expansion and orbit are the final ones.  An explicit T below the
     split's need is a ReconstructionFailed naming it.  No expansion, probe or
     final, goes past MAX_T terms: BudgetExceeded names the T needed and the
-    stage that set it.
+    stage that set it.  T keeps the A_{l,l} split's need when the orbit has no
+    preperiod and A_{l,l} is not built, so verified_to does not depend on it.
     """
     L = seqgen.operator
     if L is None:
@@ -500,20 +505,14 @@ def assemble_certificate(seqgen, p, T=None):
     level = orbit.level
     need = _lambda_split_T(span, p, level)
     if T < need:
-        raise ReconstructionFailed(f"the A_{{l,l}} check at level {level} needs T >= {need} series terms, got T = {T}")
+        raise ReconstructionFailed(f"the A_{{l,l}} split at level {level} needs T >= {need} series terms, got T = {T}")
 
-    A0l = iterate_certificates(f_p, 0, level, p, n, r, span=span)
-    All = iterate_certificates(f_p, level, level, p, n, r, span=span)
-    if orbit.preperiod == 0:
-        A = A0l
-        bound = C * p**level
-        kind = L_BOUND
-        if All != A0l:
-            raise ReconstructionFailed("orbit has no preperiod but A_{l,l} != A_{0,l}")
-    else:
+    A = A0l = iterate_certificates(f_p, 0, level, p, n, r, span=span)
+    bound, kind = C * p**level, L_BOUND
+    if orbit.preperiod > 0:
+        All = iterate_certificates(f_p, level, level, p, n, r, span=span)
         A = A0l * (All / A0l) ** (p**level)
-        bound = 2 * C * p ** (2 * level)
-        kind = L2_BOUND
+        bound, kind = 2 * C * p ** (2 * level), L2_BOUND
     if A.height > bound:
         raise HeightBoundViolated(A.height, bound, what="assembled certificate")
     verified = _verify_power_identity(f_p, A, f_p, p, level)

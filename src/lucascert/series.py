@@ -185,8 +185,14 @@ class TruncSeries:
         return self.coeffs[:limit] == other.coeffs[:limit]
 
     def first_difference(self, other):
-        """Index of the first differing coefficient, or None up to min length."""
+        """Index of the first differing coefficient, or None up to min length.
+
+        The common prefix is compared as tuples first; the loop runs only on a mismatch.
+        """
         self._check(other)
+        n = min(len(self.coeffs), len(other.coeffs))
+        if self.coeffs[:n] == other.coeffs[:n]:
+            return None
         for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs)):
             if a != b:
                 return i

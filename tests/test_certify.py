@@ -484,6 +484,23 @@ def test_assemble_explicit_T_below_the_all_split_names_the_T_needed():
         assemble_certificate(CAT["g2"], 37, T=1200)
 
 
+@pytest.mark.parametrize("name, p, splits", [("apery", 37, 1), ("f2", 5, 4)])
+def test_assemble_checks_each_identity_once(monkeypatch, name, p, splits):
+    # each step identity is checked by its split, the certificate by one final pass; apery's
+    # orbit (0, 1) has no preperiod, so its A_{l,l} is not built, while f2's (1, 1) at level 2
+    # splits two iterates for A_{0,2} and two for A_{2,2}
+    calls = {"split_pade": 0, "_verify_power_identity": 0}
+
+    def counting(fn_name):
+        real = getattr(certify, fn_name)
+        return lambda *args: calls.__setitem__(fn_name, calls[fn_name] + 1) or real(*args)
+
+    for fn_name in calls:
+        monkeypatch.setattr(certify, fn_name, counting(fn_name))
+    assemble_certificate(CAT[name], p)
+    assert calls == {"split_pade": splits, "_verify_power_identity": 1}
+
+
 def test_certificate_soundness_independent_reverify():
     # re-verify emitted certificates against freshly expanded series
     for name, p, T in (("f1", 3, 500), ("f2", 3, 800), ("f2", 5, 800), ("apery", 5, 600)):

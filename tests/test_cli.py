@@ -9,6 +9,8 @@ import pytest
 
 import lucascert
 from lucascert import (
+    QQ,
+    Poly,
     certificate_from_json,
     default_catalog,
     diffop_to_json,
@@ -19,6 +21,7 @@ from lucascert import (
 from lucascert.catalog import MAX_Q_T
 from lucascert.certify import MAX_T
 from lucascert.cli import MAX_CASEBOOK_P, MAX_CURVATURE_P, MAX_EXPAND_T, MAX_SUM_EXPAND_T, build_parser, main
+from lucascert.factoring import MAX_RECOMBINE_SUBSETS
 
 
 @pytest.fixture()
@@ -102,6 +105,34 @@ def test_opinfo_over_curvature_budget_is_input_error(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "p = 1009" in err and f"MAX_CURVATURE_P = {MAX_CURVATURE_P}" in err
+    assert "Traceback" not in err
+
+
+def swinnerton_dyer(radicands):
+    """The product of x - (sum of +-sqrt(q) over q in radicands) over all signs, in Z[x]."""
+    S = Poly.x(QQ)
+    for q in radicands:
+        # S(x + sqrt(q)) = E(x) + sqrt(q) O(x), and the next S is E^2 - q O^2
+        E, O = Poly.zero(QQ), Poly.zero(QQ)
+        for k, c in enumerate(S.coeffs):
+            for j in range(k + 1):
+                term = Poly.constant(QQ, c * comb(k, j) * q ** (j // 2)).shift(k - j)
+                E, O = (E, O + term) if j % 2 else (E + term, O)
+        S = E * E - O * O.scale(q)
+    return S
+
+
+def test_opinfo_over_recombination_budget_is_input_error(tmp_path, capsys):
+    # S of degree 32 splits into 16 factors of degree <= 2 mod every prime and is irreducible
+    # over Z, so an unbounded subset search runs for minutes
+    S = swinnerton_dyer([2, 3, 5, 7, 11])
+    path = tmp_path / "sd.json"
+    path.write_text(json.dumps({"basis": "d", "coeffs": [{"num": [-1]}, {"num": [int(c) for c in S.coeffs]}]}))
+    start = time.perf_counter()
+    assert main(["opinfo", str(path), "--primes", "3"]) == 1
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert "degree-32" in err and "r = 16" in err and f"MAX_RECOMBINE_SUBSETS = {MAX_RECOMBINE_SUBSETS}" in err
     assert "Traceback" not in err
 
 
