@@ -137,8 +137,8 @@ def reduce_rat_mod_p(q, p):
 
     Raises NotPLocal when p divides the denominator, i.e. q is not in Z_(p).
     """
-    q = Fraction(q)
+    q = q if isinstance(q, (int, Fraction)) else Fraction(q)
     den = q.denominator
     if den % p == 0:
         raise NotPLocal(p, value=q)
-    return q.numerator % p * pow(den, -1, p) % p
+    return q.numerator % p if den == 1 else q.numerator * pow(den, -1, p) % p

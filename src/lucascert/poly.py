@@ -19,8 +19,8 @@ Euclidean remainder sequence behind gcd, resultant and discriminant.
 """
 
 import sys
-from array import array
 from fractions import Fraction
+from functools import cache
 from math import gcd as int_gcd, lcm
 
 from .fields import QQ
@@ -29,7 +29,6 @@ from .fields import QQ
 # schoolbook one field multiply per coefficient pair: pack once the pairs
 # outnumber the coefficients this many times over
 _KRONECKER_CUTOFF = 2
-_CELL_CODES = sorted((array(code).itemsize, code) for code in "BHIQ")
 
 
 class Poly:
@@ -404,8 +403,8 @@ def convolve(field, a, b, n):
     The one product loop of the library, shared by Poly and TruncSeries.
     a, b and the output hold canonical coefficients.  Over F_p, operands
     that are long enough go through Kronecker substitution; everything else
-    is schoolbook, skipping zero terms and adding up the products
-    unreduced, with one `% p` per output coefficient at the end.
+    is schoolbook on ints (over Q, each operand's numerators over its lcm
+    denominator), with one `% p` or one `Fraction` per output coefficient.
     """
     a, b = a[:n], b[:n]
     if not a or not b:
@@ -414,8 +413,12 @@ def convolve(field, a, b, n):
     if p and len(a) * len(b) >= _KRONECKER_CUTOFF * (len(a) + len(b)):
         out = _kronecker_mul(a, b, p, n)
         return out + [0] * (n - len(out))
+    if not p:
+        da, db = lcm(*(x.denominator for x in a)), lcm(*(y.denominator for y in b))
+        a = [x.numerator * (da // x.denominator) for x in a]
+        b = [y.numerator * (db // y.denominator) for y in b]
     terms = [(j, y) for j, y in enumerate(b) if y]
-    out = [field.zero] * n
+    out = [0] * n
     for i, x in enumerate(a):
         if not x:
             continue
@@ -423,7 +426,14 @@ def convolve(field, a, b, n):
             if i + j >= n:
                 break
             out[i + j] += x * y
-    return [c % p for c in out] if p else out
+    return [c % p for c in out] if p else list(map(Fraction, out, [da * db] * n))
+
+
+@cache
+def _array_cell(width):
+    """(array, size, code) of the narrowest `array` cell of >= width bytes, or None; `array` loads on first use."""
+    from array import array
+    return next(((array, a.itemsize, a.typecode) for a in map(array, "BHIQ") if a.itemsize >= width), None)
 
 
 def _kronecker_mul(a, b, p, n):
@@ -436,13 +446,13 @@ def _kronecker_mul(a, b, p, n):
     cell_bits = (min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 1
     width = (cell_bits + 7) // 8
     n = min(n, len(a) + len(b) - 1)
-    cell = next(((size, code) for size, code in _CELL_CODES if size >= width), None)
+    cell = _array_cell(width)
     if cell is None:
         ia = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
         ib = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
         raw = (ia * ib).to_bytes(width * (len(a) + len(b)), "little")
         return [int.from_bytes(raw[i * width : (i + 1) * width], "little") % p for i in range(n)]
-    width, code = cell
+    array, width, code = cell
     ia, ib = (int.from_bytes(array(code, cs).tobytes(), sys.byteorder) for cs in (a, b))
     raw = (ia * ib).to_bytes(width * (len(a) + len(b) - 1), sys.byteorder)
     return [c % p for c in array(code, raw[: width * n])]

@@ -339,10 +339,10 @@ def test_oracle_catches_a_kronecker_cell_left_at_c_plus_p(monkeypatch):
 
 def test_oracle_catches_a_schoolbook_product_left_unreduced(monkeypatch):
     source = inspect.getsource(poly.convolve)
-    final = "return [c % p for c in out] if p else out"
+    final = "return [c % p for c in out] if p"
     assert source.count(final) == 1
     namespace = dict(vars(poly))
-    exec(source.replace(final, "return out"), namespace)
+    exec(source.replace(final, "return out if p"), namespace)
     checks = product_checks(SCHOOLBOOK_SHAPES)
     for check in checks:
         check()

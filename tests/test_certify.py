@@ -612,6 +612,36 @@ def test_shadow_last_row_annihilates_cartier_vector():
         assert res.is_zero(), (name, p)
 
 
+@pytest.mark.parametrize("name,p,m", [("f2", 3, 3), ("apery", 5, 2)])
+def test_shadow_residual_check_names_the_order(name, p, m):
+    """A solution changed at index m p (past p) breaks the last-row relation first at order m.
+
+    The Cartier vector reads f at multiples of p, and F(0)'s last row is 0,
+    so only the -delta(Lambda_p delta^(n-1) f) term moves, at order m.
+    """
+    T = 60
+    f = series_over_q(CAT[name], T)
+    frobenius_shadow(CAT[name].operator, p, T, solution=f)
+    bad = TruncSeries(QQ, [c + (i == m * p) for i, c in enumerate(f.coeffs)])
+    with pytest.raises(SylvesterSingular, match=f"last-row relation fails at order {m}$"):
+        frobenius_shadow(CAT[name].operator, p, T, solution=bad)
+
+
+def test_shadow_residual_check_reads_the_last_row_of_f(monkeypatch):
+    """An F whose last row is changed at z^2 after its recurrence fails the residual check at order 2."""
+    T, real = 60, certify.FrobShadow
+
+    def bumped(F, **kw):
+        *rows, (first, *rest) = F
+        first = TruncSeries(QQ, [c + (i == 2) for i, c in enumerate(first.coeffs)])
+        return real(F=(*rows, (first, *rest)), **kw)
+
+    monkeypatch.setattr(certify, "FrobShadow", bumped)
+    f = series_over_q(CAT["apery"], T)
+    with pytest.raises(SylvesterSingular, match="last-row relation fails at order 2$"):
+        frobenius_shadow(CAT["apery"].operator, 5, T, solution=f)
+
+
 def test_shadow_y_constant_term_identity():
     sh = frobenius_shadow(CAT["apery"].operator, 3, 60)
     n = 3

@@ -45,6 +45,17 @@ def test_reduce_matches_brute_force_randomized():
         )
 
 
+def test_reduce_reads_ints_and_fractions_as_they_are():
+    """Ints and Fractions are reduced as given; other rationals go through Fraction."""
+    for p in (2, 5, 2**61 - 1):
+        for q in (0, -7, 2**70 + 3, Fraction(-7), Fraction(2**70 + 3), Fraction(-(2**70), 3)):
+            r = reduce_rat_mod_p(q, p)
+            assert type(r) is int and 0 <= r < p and (r * q.denominator - q.numerator) % p == 0
+    assert reduce_rat_mod_p("-1/3", 5) == reduce_rat_mod_p(0.5, 5) == 3
+    with pytest.raises(NotPLocal):
+        reduce_rat_mod_p("1/5", 5)
+
+
 def test_reduction_is_ring_morphism():
     rng = random.Random(7)
     for _ in range(300):

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from math import comb
@@ -10,9 +11,11 @@ from lucascert import (
     NotPLocal,
     Poly,
     TruncSeries,
+    poly,
     q_series,
     reduce_series_mod_p,
     section_decomposition,
+    series,
 )
 
 
@@ -119,6 +122,19 @@ def test_reduce_series_examples():
     assert err.value.index == 1
 
 
+def test_reduce_series_solves_den_times_residue_eq_num():
+    """Integral and p-local fractional coefficients, negative, zero and past 2^64."""
+    rng = random.Random(29)
+    for p in (2, 3, 37, 2**61 - 1):
+        cs = [Fraction(rng.randrange(-(2**70), 2**70), rng.choice([1, 1, 3, 2**67 + 1, p + 2]))
+              for _ in range(60)] + [Fraction(0), Fraction(-1)]
+        cs = [c for c in cs if c.denominator % p]
+        got = reduce_series_mod_p(TruncSeries(QQ, cs), p)
+        assert got.field == GF(p) and len(got.coeffs) == len(cs)
+        for r, c in zip(got.coeffs, cs):
+            assert type(r) is int and 0 <= r < p and (r * c.denominator - c.numerator) % p == 0
+
+
 def test_mul_truncates_to_min():
     a = q_series([1, 2, 3, 4])
     b = q_series([1, 1])
@@ -156,42 +172,99 @@ def test_truncate():
         f.truncate(5)
 
 
+# denominators of the random Fractions over Q: small and mixed; past 2^64,
+# two of them sharing a factor, beside a small one; 1 throughout; and a
+# first operand of zeros only
+Q_DENOMINATORS = {
+    "mixed": lambda rng: rng.choice([1, 2, 3, 4, 6, 7, 9, 10, 12, 35]),
+    "large": lambda rng: rng.choice([2**64 + 1, 2**64 + 13, 3 * (2**64 + 1), 5]),
+    "integer": lambda rng: 1,
+    "zero": lambda rng: 1,
+}
+# the field is GF(p) for an int, QQ with that denominator mix for a name
 CONVOLVE_SHAPES = [
-    (kind, p, la, lb)
+    (kind, field, la, lb)
     for kind in ("poly", "series", "mul_poly")
-    for p in (5, 2**31 - 1)
+    for field in (5, 2**31 - 1, *Q_DENOMINATORS)
     for la, lb in [(1, 1), (1, 80), (2, 80), (3, 3), (4, 4), (3, 6), (6, 3), (23, 23),
                    (23, 25), (24, 24), (24, 80), (25, 25), (25, 1), (80, 80), (80, 23)]
 ]
+Q_SHAPES = [shape for shape in CONVOLVE_SHAPES if shape[1] in Q_DENOMINATORS]
 
 
-@pytest.mark.parametrize(
-    "kind,p,la,lb", CONVOLVE_SHAPES, ids=[f"{k}-p{p}-{la}x{lb}" for k, p, la, lb in CONVOLVE_SHAPES]
-)
-def test_kronecker_series_mul_matches_schoolbook(kind, p, la, lb):
-    """Both product routes (Kronecker, schoolbook) against a plain double loop.
+def convolve_case(kind, field, la, lb):
+    """A product of the given shape, by the library and by a plain double loop.
 
     Poly keeps the full product; TruncSeries * TruncSeries truncates to the
     shorter operand and mul_poly to the series, both shorter than the product.
+    Returns both coefficient tuples and the two operands cut to the
+    product's length, as `convolve` sees them.
     """
     rng = random.Random(13 + la * 100 + lb)
-    F = GF(p)
+    if field in Q_DENOMINATORS:
+        F, p, pick = QQ, 0, Q_DENOMINATORS[field]
+        coeff = lambda: Fraction(rng.randrange(-(2**70), 2**70), pick(rng))
+        nonzero = lambda: Fraction(rng.choice([-1, 1]) * rng.randrange(1, 2**70), pick(rng))
+    else:
+        F, p = GF(field), field
+        coeff, nonzero = lambda: rng.randrange(p), lambda: rng.randrange(1, p)
 
     def draw(n):  # about a fifth zeros, nonzero last coefficient
-        cs = [rng.randrange(p) if rng.random() > 0.2 else 0 for _ in range(n)]
-        return cs[:-1] + [rng.randrange(1, p)]
+        cs = [coeff() if rng.random() > 0.2 else F.zero for _ in range(n)]
+        return cs[:-1] + [nonzero()]
 
     a, b = draw(la), draw(lb)
+    if field == "zero":
+        a = [F.zero] * la
     n = {"poly": la + lb - 1, "series": min(la, lb), "mul_poly": la}[kind]
-    out = [0] * n
+    out = [F.zero] * n
     for i in range(la):
         for j in range(lb):
             if i + j < n:
-                out[i + j] = (out[i + j] + a[i] * b[j]) % p
+                out[i + j] += a[i] * b[j]
+    want = tuple(c % p for c in out) if p else tuple(out)
     if kind == "poly":
-        got = (Poly(F, a) * Poly(F, b)).coeffs
+        got, want = (Poly(F, a) * Poly(F, b)).coeffs, Poly(F, want).coeffs
     elif kind == "series":
         got = (TruncSeries(F, a) * TruncSeries(F, b)).coeffs
     else:
         got = TruncSeries(F, a).mul_poly(Poly(F, b)).coeffs
-    assert got == tuple(out)
+    return got, want, a[:n], b[:n]
+
+
+@pytest.mark.parametrize(
+    "kind,field,la,lb",
+    CONVOLVE_SHAPES,
+    ids=[f"{k}-QQ-{f}-{la}x{lb}" if f in Q_DENOMINATORS else f"{k}-p{f}-{la}x{lb}"
+         for k, f, la, lb in CONVOLVE_SHAPES],
+)
+def test_kronecker_series_mul_matches_schoolbook(kind, field, la, lb):
+    """Every product route against a plain double loop: Kronecker and
+    schoolbook over F_p, integer numerators over one denominator over Q."""
+    got, want, _, _ = convolve_case(kind, field, la, lb)
+    assert got == want
+    assert all(type(c) is (Fraction if field in Q_DENOMINATORS else int) for c in got)
+
+
+@pytest.mark.parametrize("dropped", ["da", "db"])
+def test_q_oracle_catches_a_dropped_denominator(monkeypatch, dropped):
+    """A Q route that forgets one operand's denominator fails every product it changes.
+
+    It leaves a product right only when that operand is integral or the
+    product is zero; every other Q product check must fail.
+    """
+    source = inspect.getsource(poly.convolve)
+    final = "[da * db]"
+    assert source.count(final) == 1
+    namespace = dict(vars(poly))
+    exec(source.replace(final, "[db]" if dropped == "da" else "[da]"), namespace)
+    for module in (poly, series):
+        monkeypatch.setattr(module, "convolve", namespace["convolve"])
+    caught = 0
+    for shape in Q_SHAPES:
+        got, want, a, b = convolve_case(*shape)
+        lost = a if dropped == "da" else b
+        unchanged = all(c.denominator == 1 for c in lost) or not any(want)
+        assert (got == want) == unchanged, shape
+        caught += not unchanged
+    assert caught >= len(Q_SHAPES) // 3  # 82 (da) and 88 (db) of the 180 shapes
