@@ -29,7 +29,7 @@ from math import lcm
 
 from .errors import BadPrime, LeadingZero, NotMomAtZero, NotSeriesExpandable, ParseError
 from .fields import QQ, PrimeField, is_prime, primes_upto
-from .linalg import mat_add, mat_mul
+from .linalg import mat_mul
 from .poly import Poly, content, format_poly
 from .ratfun import RatFun, common_denominator
 from .series import TruncSeries
@@ -414,28 +414,33 @@ def companion(L):
 
 
 def p_curvature(Lp):
-    """p-th iterate of A -> A' + A*A_1 on the d/dz companion matrix over F_p.
+    """p-curvature of Lp over F_p: the p-th iterate of A -> A' + A*A_1 on the d/dz companion matrix.
 
-    With A_1 = B_1/D from `companion`, A_k = B_k/D^k where
-    B_(k+1) = D*B_k' - k*D'*B_k + B_k*B_1: polynomial matrices, no gcd per
-    step.  Returns ((D^p, B_p), is_nilpotent): A_p = B_p/D^p in the
-    (den, polynomial matrix) shape of `companion`, unreduced, and
-    nilpotency tested as B_p^n = 0.  Delta-basis input is converted to d/dz
-    first.
+    With A_1 = B_1/D from `companion`, A_k = B_k/D^k, and row i of A_k is
+    row 0 of A_(k+i): the expression of d^(k+i) mod L in y, ..., y^(n-1).
+    So one row is iterated, r_0 = (1, 0, ..., 0) and
+    r_(k+1) = D*r_k' - k*D'*r_k + r_k*B_1, for p + n - 1 steps, and row i
+    of B_p is r_(p+i)/D^i (an exact division, which raises if it is not).
+    Returns ((D^p, B_p), is_nilpotent): A_p = B_p/D^p in the (den,
+    polynomial matrix) shape of `companion`, unreduced, and nilpotency
+    tested as B_p^n = 0.  Delta-basis input is converted to d/dz first.
     """
     field = Lp.field
     if not isinstance(field, PrimeField):
         raise TypeError("p-curvature requires an operator over a prime field")
     D, B1 = companion(to_d(Lp))
-    dD, B = D.derivative(), B1
-    for k in range(1, field.p):
-        kdD = dD.scale(k)
-        B = mat_add([[D * b.derivative() - kdD * b for b in row] for row in B], mat_mul(B, B1))
+    p, dD, zero = field.p, D.derivative(), Poly.zero(field)
+    r, B = [Poly.one(field)] + [zero] * (len(B1) - 1), []
+    for k in range(p + len(B1) - 1):
+        kdD = dD.scale(k)  # r*B_1 below: D*r_(j-1) from the superdiagonal, r_(n-1) times the last row
+        r = [D * (a.derivative() + b) - kdD * a + r[-1] * c for a, b, c in zip(r, [zero] + r[:-1], B1[-1])]
+        if k + 1 >= p:
+            B.append([e.exact_div(D ** len(B)) for e in r])
     power = B
     for _ in range(len(B) - 1):
         power = mat_mul(power, B)
     nilpotent = all(entry.is_zero() for row in power for entry in row)
-    return (D**field.p, B), nilpotent
+    return (D**p, B), nilpotent
 
 
 # -- good primes ------------------------------------------------------------------

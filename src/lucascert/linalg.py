@@ -58,7 +58,3 @@ def kernel_basis(field, rows, ncols):
 def mat_mul(A, B):
     """Matrix product for entries of any ring (Fraction, RatFun, TruncSeries)."""
     return [[reduce(add, map(mul, row, col)) for col in zip(*B)] for row in A]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]

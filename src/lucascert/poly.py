@@ -2,15 +2,17 @@
 
 Coefficients are stored lowest degree first in a tuple with no trailing
 zeros; the zero polynomial is the empty tuple.  Every stored coefficient
-is canonical (see `fields`).  The public constructor coerces its input, so
-sums run on Python's `+ - *` and hand it unreduced lists; results that are
-canonical by construction (`convolve`'s products, a scatter) go through the
-private `_canonical` constructor.  A loop that reads back an intermediate
-value (the leading remainder term in `divmod`, the Horner accumulator in
-`eval`, the running product in `resultant`) coerces it once, where it is
-read.  Multiplication over a prime field packs coefficients into a single
-big integer (Kronecker substitution) so that products of the large
-polynomial powers showing up in certificate heights stay cheap.
+is canonical (see `fields`).  The public constructor coerces its input.
+Sums, negations, scalings and derivatives run on Python's `+ - *` and go
+through the private `_reduced` constructor: one `% p` over F_p, nothing
+over Q, whose `Fraction` results are canonical already.  Results that are
+canonical by construction (`convolve`'s products, a scatter) go straight
+through `_canonical`, which `_reduced` ends in.  A loop that reads back an
+intermediate value (the leading remainder term in `divmod`, the Horner
+accumulator in `eval`, the running product in `resultant`) coerces it
+once, where it is read.  Multiplication over a prime field packs
+coefficients into a single big integer (Kronecker substitution) so that
+products of the large polynomial powers in certificate heights stay cheap.
 
 Irreducible factorization splits off squarefree parts here and factors
 each one with the algorithms of `factoring`, which run on this class;
@@ -50,6 +52,12 @@ class Poly:
         P = object.__new__(cls)
         P.field, P.coeffs = field, tuple(coeffs[:n])
         return P
+
+    @classmethod
+    def _reduced(cls, field, coeffs):
+        """A Poly of sums and products of canonical coefficients: one `% p` over F_p, none over Q."""
+        p = field.char
+        return cls._canonical(field, [c % p for c in coeffs] if p else coeffs)
 
     # -- constructors -------------------------------------------------
 
@@ -122,10 +130,10 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(self.field, out)
+        return Poly._reduced(self.field, out)
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._reduced(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -140,7 +148,7 @@ class Poly:
         c = f.coerce(c)
         if not c:
             return Poly.zero(f)
-        return Poly(f, [c * a for a in self.coeffs])
+        return Poly._reduced(f, [c * a for a in self.coeffs])
 
     def shift(self, k):
         """Multiply by z^k."""
@@ -199,7 +207,7 @@ class Poly:
         return self.scale(self.field.inv(self.leading()))
 
     def derivative(self):
-        return Poly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._reduced(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x):
         f = self.field

@@ -1,15 +1,17 @@
 """Derandomized property test of the coefficient arithmetic on canonical elements.
 
-Poly, TruncSeries and kernel_basis run on Python's `+ - *` and rely on
-their public constructors (and a few read-back points) to reduce; products,
-slices and scatters are canonical by construction and skip that reduction.
+Poly, TruncSeries and kernel_basis run on Python's `+ - *`.  Poly sums,
+negations, scalings and derivatives reduce once in the private `_reduced`;
+the rest relies on the public constructors (and a few read-back points) to
+reduce; products, slices and scatters are canonical by construction and
+skip that reduction.
 Each operation here is compared with plain-list reference arithmetic: an
 explicit `% p` and `pow(., -1, p)` over F_p, `Fraction` arithmetic over Q.
 Inputs are passed to the public constructors non-canonical (negative ints,
 ints >= p, Fractions), operands are empty, of length 1, and on both sides
 of the Kronecker cutoff, and every result must hold canonical coefficients
-only.  Two mutants of the product path show that this oracle sees a
-result that skipped its reduction.
+only.  Two mutants of the product path and one of the sum path show that
+this oracle sees a result that skipped its reduction.
 """
 
 import inspect
@@ -351,3 +353,69 @@ def test_oracle_catches_a_schoolbook_product_left_unreduced(monkeypatch):
     for check in checks:
         with pytest.raises(AssertionError):
             check()
+
+
+# -- sums, negations, scalings and derivatives ------------------------------------------
+
+SUM_FIELDS = [GF(2), GF(5), GF(2**61 - 1), QQ]
+
+
+def sum_checks(field, rng):
+    """(operation, reference coefficients) pairs for +, -, unary -, scale and derivative.
+
+    Operands are canonical: random, all p - 1 (so a sum cell reaches p or
+    more before its reduction), or built to cancel.  A - A and A + (-A) are
+    zero; B agrees with -A on A's top two coefficients, so A + B drops in
+    degree; over GF(2) and GF(5) a z^p term drops out of the derivative.
+    """
+    p = p_of(field)
+    top = red(-1, p)  # p - 1 over F_p
+    checks = []
+    for n in (1, 2, 3, 6, 9) + ((p + 1,) if p and p < 10 else ()):
+        a = [red(v, p) for v in raw_list(rng, p, n - 1)] + [top]
+        b = [red(v, p) for v in raw_list(rng, p, n)]
+        cancel = b[: n - 2] + [red(-v, p) for v in a[-2:]]
+        for x, y in [(a, b), (a, [top] * n), ([top] * n, [top] * (n + 1)), (a, cancel)]:
+            X, Y = Poly(field, x), Poly(field, y)
+            m = max(len(x), len(y))
+            xs, ys = x + [0] * (m - len(x)), y + [0] * (m - len(y))
+            checks += [
+                (lambda X=X, Y=Y: X + Y, strip(red(u + v, p) for u, v in zip(xs, ys))),
+                (lambda X=X, Y=Y: X - Y, strip(red(u - v, p) for u, v in zip(xs, ys))),
+                (X.__neg__, strip(red(-u, p) for u in x)),
+                (X.derivative, strip(red(i * u, p) for i, u in enumerate(x))[1:]),
+            ]
+            checks += [(lambda X=X, c=c: X.scale(c), strip(red(red(c, p) * u, p) for u in x))
+                       for c in (top, raw_value(rng, p), 0)]
+        A = Poly(field, a)
+        checks += [(lambda A=A: A - A, []), (lambda A=A: A + (-A), [])]
+    return checks
+
+
+@pytest.mark.parametrize("field", SUM_FIELDS, ids=repr)
+def test_sums_are_canonical(field):
+    for op, want in sum_checks(field, random.Random(4000 + (p_of(field) or 0) % 1000)):
+        check_poly(op(), want)
+
+
+def test_oracle_catches_an_fp_sum_left_at_c_plus_p(monkeypatch):
+    canonical_poly = Poly._canonical
+
+    def sums_left_below_2p(cls, field, coeffs):
+        """Reduces only what lies outside [0, 2p): a sum of two residues keeps its c >= p."""
+        p = field.char
+        return canonical_poly(field, [c if 0 <= c < 2 * p else c % p for c in coeffs] if p else coeffs)
+
+    def failures(field):
+        failed = 0
+        for op, want in sum_checks(field, random.Random(4000)):
+            try:
+                check_poly(op(), want)
+            except AssertionError:
+                failed += 1
+        return failed
+
+    fp_fields = [f for f in SUM_FIELDS if f != QQ]
+    assert [failures(f) for f in fp_fields] == [0] * len(fp_fields)
+    monkeypatch.setattr(Poly, "_reduced", classmethod(sums_left_below_2p))
+    assert all(failures(f) for f in fp_fields)

@@ -41,7 +41,7 @@ from lucascert import (
     to_delta,
 )
 from lucascert.cli import main as cli_main
-from lucascert.linalg import mat_add, mat_mul
+from lucascert.linalg import mat_mul
 
 CAT = default_catalog()
 
@@ -478,13 +478,50 @@ def _derivative(a):
     return RatFun(n.derivative() * d - n * d.derivative(), d * d)
 
 
+def _mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
 def _p_curvature_oracle(Lp):
     """The RatFun iteration A <- A' + A*A_1, each entry reduced by a gcd."""
     A1 = _monic_companion(to_d(Lp))
     A = A1
     for _ in range(Lp.field.p - 1):
-        A = mat_add([[_derivative(a) for a in row] for row in A], mat_mul(A, A1))
+        A = _mat_add([[_derivative(a) for a in row] for row in A], mat_mul(A, A1))
     return A
+
+
+def _p_curvature_matrix_oracle(Lp):
+    """((D^p, B_p), B_p^n == 0) by the whole-matrix iteration B_(k+1) = D*B_k' - k*D'*B_k + B_k*B_1."""
+    D, B1 = companion(to_d(Lp))
+    dD, B = D.derivative(), B1
+    for k in range(1, Lp.field.p):
+        kdD = dD.scale(k)
+        B = _mat_add([[D * b.derivative() - kdD * b for b in row] for row in B], mat_mul(B, B1))
+    power = B
+    for _ in range(len(B) - 1):
+        power = mat_mul(power, B)
+    return (D**Lp.field.p, B), all(entry.is_zero() for row in power for entry in row)
+
+
+def _random_delta_operator(rng, p):
+    """Order 2-5 over F_p in the delta basis, coefficients of degree 2-4.
+
+    Half are fully random.  The other half are g(z)*(P(delta) - z^m*Q(delta))
+    with P and Q split over F_p, of hypergeometric shape, whose p-curvature
+    came out nilpotent in every case drawn.
+    """
+    F, n = GF(p), rng.randint(2, 5)
+    if rng.random() < 0.5:
+        d = rng.randint(2, 4)
+        coeffs = [[rng.randrange(p) for _ in range(d + 1)] for _ in range(n)]
+        return diffop_from_polys(F, "delta", coeffs + [[rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]])
+    P, Q = Poly.one(F), Poly.one(F)
+    for _ in range(n):
+        P, Q = P * Poly(F, [rng.randrange(p), 1]), Q * Poly(F, [rng.randrange(p), 1])
+    g = Poly(F, [rng.randrange(p) for _ in range(rng.randint(1, 2))] + [1])
+    zm = Poly.one(F).shift(rng.randint(1, 2))
+    return diffop_from_polys(F, "delta", [(g * (Poly.constant(F, P[k]) - zm.scale(Q[k]))).coeffs for k in range(n + 1)])
 
 
 OPS = {name: CAT[name].operator for name in ("g1", "g2", "g3", "f2", "f3", "apery")}
@@ -499,6 +536,27 @@ def test_p_curvature_matches_ratfun_oracle(name):
         (den, B), nil = p_curvature(Lp)
         assert nil, (name, p)
         assert [[RatFun(b, den) for b in row] for row in B] == _p_curvature_oracle(Lp), (name, p)
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_p_curvature_matches_matrix_oracle(name):
+    L = OPS[name]
+    primes = [p for p in good_primes(L, 37) if p <= 13 or p >= 29]
+    assert {29, 31, 37} & set(primes)
+    for p in primes:
+        Lp = reduce_op_mod_p(L, p)
+        assert p_curvature(Lp) == _p_curvature_matrix_oracle(Lp), (name, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_p_curvature_matches_matrix_oracle_on_random_delta_operators(p):
+    rng, seen = random.Random(p), set()
+    for _ in range(12):
+        Lp = _random_delta_operator(rng, p)
+        got = p_curvature(Lp)
+        assert got == _p_curvature_matrix_oracle(Lp), str(Lp)
+        seen.add(got[1])
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("basis", ["d", "delta"])
