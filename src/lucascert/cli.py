@@ -55,8 +55,9 @@ MAX_EXPAND_T = 5000
 # cost grows about as T^3: 400 terms print in about 0.3 s and 1600 take 8-16 s (same host), and
 # 5000 would take several minutes
 MAX_SUM_EXPAND_T = 400
-# opinfo p-curvature budget, in p: on apery it takes about 0.04 s at p = 101 and 0.14 s at 211,
-# and grows about as p^1.9 (same host), so p = 401 takes 0.5 s; the order is not budgeted yet
+# opinfo p-curvature budget, in p: on apery it takes about 0.04 s at p = 101 and 0.15 s at 211,
+# and grows about as p^1.9 (same host), so p = 401 takes 0.5 s; a random order-16 delta-operator
+# with degree-16 coefficients takes 0.66 s at p = 5. The order is not budgeted yet
 MAX_CURVATURE_P = 211
 # casebook budget, in p, for the cases whose work grows with p: 210 sums jp + 1 big binomials for
 # each a(jp), j <= 20, and takes 0.08-0.18 s at p = 61 and 67, 0.12 s at 71 and 0.3 s at 101

@@ -29,7 +29,6 @@ from math import lcm
 
 from .errors import BadPrime, LeadingZero, NotMomAtZero, NotSeriesExpandable, ParseError
 from .fields import QQ, PrimeField, is_prime, primes_upto
-from .linalg import mat_mul
 from .poly import Poly, content, format_poly
 from .ratfun import RatFun, common_denominator
 from .series import TruncSeries
@@ -422,8 +421,10 @@ def p_curvature(Lp):
     r_(k+1) = D*r_k' - k*D'*r_k + r_k*B_1, for p + n - 1 steps, and row i
     of B_p is r_(p+i)/D^i (an exact division, which raises if it is not).
     Returns ((D^p, B_p), is_nilpotent): A_p = B_p/D^p in the (den,
-    polynomial matrix) shape of `companion`, unreduced, and nilpotency
-    tested as B_p^n = 0.  Delta-basis input is converted to d/dz first.
+    polynomial matrix) shape of `companion`, unreduced.  A_p is the matrix of
+    psi = d^p on K[d]/K[d]L, and psi commutes with d, so
+    psi^n(d^i) = d^i*psi^n(1): A_p^n = 0 exactly when its first row,
+    d^(pn) mod L, is zero.  Delta-basis input is converted to d/dz first.
     """
     field = Lp.field
     if not isinstance(field, PrimeField):
@@ -436,11 +437,10 @@ def p_curvature(Lp):
         r = [D * (a.derivative() + b) - kdD * a + r[-1] * c for a, b, c in zip(r, [zero] + r[:-1], B1[-1])]
         if k + 1 >= p:
             B.append([e.exact_div(D ** len(B)) for e in r])
-    power = B
+    v = B[0]
     for _ in range(len(B) - 1):
-        power = mat_mul(power, B)
-    nilpotent = all(entry.is_zero() for row in power for entry in row)
-    return (D**p, B), nilpotent
+        v = [sum((a * b for a, b in zip(v, col)), zero) for col in zip(*B)]
+    return (D**p, B), not any(v)
 
 
 # -- good primes ------------------------------------------------------------------

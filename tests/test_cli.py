@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -134,6 +135,19 @@ def test_opinfo_over_recombination_budget_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "degree-32" in err and "r = 16" in err and f"MAX_RECOMBINE_SUBSETS = {MAX_RECOMBINE_SUBSETS}" in err
     assert "Traceback" not in err
+
+
+def test_opinfo_order_16_p_curvature_is_fast(tmp_path, capsys):
+    # testing B_p^n = 0 by n - 1 products of n x n polynomial matrices took 14 s on this operator
+    # (2 cores, CPython 3.11.7); with the first row of B_p^n alone opinfo takes about 1.5 s
+    rng = random.Random(16)
+    coeffs = [[rng.randint(-9, 9) for _ in range(17)] for _ in range(16)] + [[1] + [rng.randint(-9, 9) for _ in range(16)]]
+    path = tmp_path / "order16.json"
+    path.write_text(json.dumps({"basis": "delta", "coeffs": [{"num": c} for c in coeffs]}))
+    start = time.perf_counter()
+    assert main(["opinfo", str(path), "--primes", "3,5"]) == 0
+    assert time.perf_counter() - start < 5
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_opinfo_json(f2_op_path, capsys):
