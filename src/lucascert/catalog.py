@@ -327,6 +327,8 @@ def catalog_from_json(data):
         elif kind == "operator":
             raise ParseError("an operator entry needs an operator", location=loc)
         try:
+            if any(isinstance(v, (bool, float)) for v in item.get("initial", ())):
+                raise TypeError("initial values must be integers or rational strings, not floats or booleans")
             initial = tuple(Fraction(v) for v in item.get("initial", ["1"]))
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"bad initial value: {exc}", location=f"{loc}.initial") from exc

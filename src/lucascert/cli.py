@@ -51,6 +51,11 @@ MAX_BOUND = 10**7  # good-prime budget: a 10 MB sieve and 664579 primes
 # expand budget, in terms: at this order f2, apery and f3 print in 2-4 s and 80-115 MB
 # (2 cores, CPython 3.11.7); at 20000, f2 alone takes 85 s and 1 GB
 MAX_EXPAND_T = 5000
+# budget of the power kinds binom_power and f_r, in r^2 T^3: a term C(2n,n)^r has about 0.6 r n
+# digits, printed in time quadratic in them, so T terms take about 2.6e-12 r^2 T^3 s (same host):
+# 3 s at r = 3, T = 5000 and 34 s at r = 150, T = 900. The r T^2 digits alone do not bound it:
+# near r T^2 = 1.6e7, r = 64 takes 1.3 s and r = 4096 8.2 s
+MAX_EXPAND_R2T3 = 3**2 * MAX_EXPAND_T**3
 # budget of the sum kinds cy210 and cy26, whose terms are O(j) big-binomial sums, so their
 # cost grows about as T^3: 400 terms print in about 0.3 s and 1600 take 8-16 s (same host), and
 # 5000 would take several minutes
@@ -101,6 +106,9 @@ def cmd_expand(args):
     if args.T > MAX_EXPAND_T:
         raise BudgetExceeded(f"expand needs T = {args.T} series terms, above the budget MAX_EXPAND_T = {MAX_EXPAND_T}")
     entry = lookup(args.series, _load_cat(args))
+    if entry.kind in ("binom_power", "f_r") and entry.r**2 * args.T**3 > MAX_EXPAND_R2T3:
+        raise BudgetExceeded(f"expand needs T = {args.T} terms of the power series {args.series!r} with r = {entry.r}, "
+                             f"r^2 T^3 above the budget MAX_EXPAND_R2T3 = {MAX_EXPAND_R2T3}")
     if entry.kind in ("cy210", "cy26") and args.T > MAX_SUM_EXPAND_T:
         raise BudgetExceeded(f"expand needs T = {args.T} terms of the sum series {args.series!r}, "
                              f"above the budget MAX_SUM_EXPAND_T = {MAX_SUM_EXPAND_T}")

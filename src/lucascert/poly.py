@@ -16,8 +16,8 @@ products of the large polynomial powers in certificate heights stay cheap.
 
 Irreducible factorization splits off squarefree parts here and factors
 each one with the algorithms of `factoring`, which run on this class;
-everything else is implemented here directly: division, and the
-Euclidean remainder sequence behind gcd, resultant and discriminant.
+everything else is implemented here: division, and one remainder
+sequence, kept primitive over Q, behind gcd, resultant and discriminant.
 """
 
 import sys
@@ -254,30 +254,16 @@ class Poly:
     def gcd(self, other):
         """Monic gcd; gcd(0, 0) = 0, and 1 at once when either operand is a nonzero constant.
 
-        Over Q both inputs are cleared to primitive integer polynomials and
-        a primitive PRS is used, which keeps intermediate coefficients small.
+        One remainder sequence for both fields; over Q each remainder is replaced
+        by its primitive part (Collins' primitive PRS), keeping coefficients small.
         """
         self._check(other)
         a, b = self, other
-        if a.is_zero():
-            return b.monic()
-        if b.is_zero():
-            return a.monic()
         if a.degree() == 0 or b.degree() == 0:
             return Poly.one(self.field)
-        if self.field == QQ:
-            _, a = a.content_primitive()
-            _, b = b.content_primitive()
-            while not b.is_zero():
-                r = a % b
-                if r.is_zero():
-                    b_next = Poly.zero(QQ)
-                else:
-                    _, b_next = r.content_primitive()
-                a, b = b, b_next
-            return a.monic()
-        while not b.is_zero():
-            a, b = b, a % b
+        while b:
+            r = a % b
+            a, b = b, r.content_primitive()[1] if self.field == QQ else r
         return a.monic()
 
     def lcm(self, other):
@@ -287,11 +273,12 @@ class Poly:
         return (self * other).exact_div(g).monic()
 
     def resultant(self, other):
-        """Res(self, other) by the Euclidean remainder sequence; 0 when either is zero.
+        """Res(self, other) by one remainder sequence, kept primitive over Q; 0 when either is zero.
 
         With r = a mod b, Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r),
         and Res(a, c) = c^(deg a) for a nonzero constant c (von zur Gathen and
-        Gerhard, Modern Computer Algebra, ch. 6).
+        Gerhard, Modern Computer Algebra, ch. 6).  Over Q each remainder is
+        written r = c s with s primitive, and Res(b, r) = c^(deg b) Res(b, s).
         """
         self._check(other)
         f = self.field
@@ -300,7 +287,8 @@ class Poly:
             r = a % b
             sign = -1 if a.degree() * b.degree() % 2 else 1
             e = a.degree() - r.degree()
-            out = f.coerce(out * sign * b.leading() ** e)
+            c, r = r.content_primitive() if f == QQ else (f.one, r)
+            out = f.coerce(out * sign * b.leading() ** e * c ** b.degree())
             a, b = b, r
         if a.is_zero() or b.is_zero():
             return f.zero

@@ -21,7 +21,15 @@ from lucascert import (
 )
 from lucascert.catalog import MAX_Q_T
 from lucascert.certify import MAX_T
-from lucascert.cli import MAX_CASEBOOK_P, MAX_CURVATURE_P, MAX_EXPAND_T, MAX_SUM_EXPAND_T, build_parser, main
+from lucascert.cli import (
+    MAX_CASEBOOK_P,
+    MAX_CURVATURE_P,
+    MAX_EXPAND_R2T3,
+    MAX_EXPAND_T,
+    MAX_SUM_EXPAND_T,
+    build_parser,
+    main,
+)
 from lucascert.factoring import MAX_RECOMBINE_SUBSETS
 
 
@@ -61,6 +69,21 @@ def test_expand_over_budget_is_input_error(capsys):
     err = capsys.readouterr().err
     assert "T = 10000000" in err and f"MAX_EXPAND_T = {MAX_EXPAND_T}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["binom_power", "f_r"])
+def test_expand_power_series_over_their_budget_is_input_error(kind, tmp_path, capsys):
+    # each term C(2n,n)^r has about 0.6 r n digits: r = 200000 at T = 64 ran past 20 s
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([{"name": "big", "kind": kind, "r": 200000}]))
+    start = time.perf_counter()
+    assert main(["expand", "big", "--T", "64", "--catalog", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "r = 200000" in err and "T = 64" in err and f"MAX_EXPAND_R2T3 = {MAX_EXPAND_R2T3}" in err
+    assert "Traceback" not in err
+    # the shipped entries (r <= 3) keep MAX_EXPAND_T
+    assert 3**2 * MAX_EXPAND_T**3 <= MAX_EXPAND_R2T3
 
 
 @pytest.mark.parametrize("series", ["cy210", "cy26"])
@@ -150,6 +173,19 @@ def test_opinfo_order_16_p_curvature_is_fast(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_opinfo_degree_100_singular_locus_is_fast(tmp_path, capsys):
+    # the Euclidean resultant over Q behind the discriminant took 26 s on z R(z) d + z
+    # (2 cores, CPython 3.11.7); with each remainder kept primitive opinfo takes under 1 s
+    rng = random.Random(5)
+    R = [rng.randint(-9, 9) for _ in range(101)]
+    path = tmp_path / "degree100.json"
+    path.write_text(json.dumps({"basis": "d", "coeffs": [{"num": [0, 1]}, {"num": [0] + R}]}))
+    start = time.perf_counter()
+    assert main(["opinfo", str(path), "--primes", "3,5"]) == 0
+    assert time.perf_counter() - start < 5
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_opinfo_json(f2_op_path, capsys):
     assert main(["opinfo", f2_op_path, "--primes", "3", "--format", "json"]) == 0
     info = json.loads(capsys.readouterr().out)
@@ -173,9 +209,13 @@ OPERATOR = {"basis": "d", "coeffs": [{"num": [-2]}, {"num": [1, -4]}]}
         ({"name": "x", "kind": "f_r", "r": 0}, "entry[0].r"),
         ({"name": "x", "kind": "binom_power", "r": 2.7}, "entry[0].r"),
         ({"name": "x", "kind": "f_r", "r": True}, "entry[0].r"),
+        ({"name": "x", "kind": "operator", "operator": OPERATOR, "initial": [0.1]},
+         "entry[0].initial"),
+        ({"name": "x", "kind": "operator", "operator": OPERATOR, "initial": [True]},
+         "entry[0].initial"),
     ],
     ids=["initial-abc", "r-two", "operator-missing", "name-list", "r-negative", "r-zero",
-         "r-float", "r-bool"],
+         "r-float", "r-bool", "initial-float", "initial-bool"],
 )
 def test_bad_catalog_entry_is_parse_error(tmp_path, capsys, entry, location):
     path = tmp_path / "cat.json"

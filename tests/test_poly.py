@@ -23,6 +23,13 @@ def rand_poly(rng, field, max_deg, scale=9):
     return Poly(field, cs)
 
 
+def rand_q_poly(rng, deg, fractions):
+    """A degree-deg Q-polynomial with numerators in [-99, 99], over denominators in [1, 9] if fractions."""
+    cs = [Fraction(rng.randint(-99, 99), rng.randint(1, 9) if fractions else 1) for _ in range(deg + 1)]
+    cs[-1] = cs[-1] or 1
+    return Poly(QQ, cs)
+
+
 def test_gcd_factor_case():
     a = to_poly(QQ, [-1, 0, 1])  # z^2 - 1
     b = to_poly(QQ, [-1, 1])  # z - 1
@@ -227,6 +234,20 @@ def test_resultant_matches_sylvester_determinant(field):
         constant_seen |= 0 in (a.degree(), b.degree())
         common_root_seen |= min(a.degree(), b.degree()) > 0 and not want
     assert zero_seen and constant_seen and common_root_seen
+    if field == QQ:
+        # degrees 10..24, where the remainders' Fraction coefficients used to blow up: integer
+        # and Fraction coefficients, some scaled off primitive, every third pair with a common factor
+        kinds = set()
+        for k in range(12):
+            g = rand_q_poly(rng, rng.randint(1, 4), k % 2) if k % 3 == 0 else Poly.one(QQ)
+            a, b = (rand_q_poly(rng, rng.randint(10, 24) - g.degree(), k % 2) * g for _ in "ab")
+            if k % 3 == 1:
+                a, b = a.scale(rng.randint(2, 30)), b.scale(Fraction(rng.randint(2, 30), rng.randint(1, 9)))
+            want = sylvester_resultant(a, b)
+            assert a.resultant(b) == want, (a, b)
+            ring = "Z" if all(c.denominator == 1 for c in a.coeffs) else "Q"
+            kinds |= {(ring, content([a]) == 1), "zero" if not want else "nonzero"}
+        assert kinds == {("Z", True), ("Z", False), ("Q", False), "zero", "nonzero"}
 
 
 def test_resultant_of_constants():
