@@ -369,7 +369,7 @@ def _verify_power_identity(f, A, g, p, m):
     T = min(T, len(composed))
     idx = f.truncate(T).mul_poly(A.den).first_difference(composed.truncate(T).mul_poly(A.num))
     if idx is not None:
-        raise ReconstructionFailed(f"certificate identity fails at order {idx}")
+        raise ReconstructionFailed(f"certificate identity fails at order {idx}", index=idx)
     return T
 
 
@@ -441,18 +441,20 @@ def assemble_certificate(seqgen, p, T=None):
     bound 2C p^(2l) with C = 2nr, or collapses to A_{0,l} with the L-type
     bound C p^l when the orbit has no preperiod.
 
-    Automatic T is the largest of what the stages need.  The A_{l,l} split of
-    Lambda^(2l-1) f needs (2d - 1) p^(2l) + 1 terms (d the recurrence span),
-    and l >= 1, so the first probe is max(512, (2d - 1) p^2 + 1).  While no
-    orbit shows, the next probe is the least length at which one more Cartier
-    iterate has ORBIT_MIN_LENGTH terms, (ORBIT_MIN_LENGTH - 1) p^k + 1.  Once
-    it shows, T is the largest of the probe, the height bound's 2 bound + 16
-    and the A_{l,l} split at the orbit's level; when that is the probe, the
-    probe's expansion and orbit are the final ones.  An explicit T below the
-    split's need is a ReconstructionFailed naming it.  No expansion, probe or
+    Automatic T is the largest need of the stages that run (d the recurrence
+    span).  Every certificate has level l >= 1, so the first probe is the largest
+    level-1 need: max(512, the orbit's 31 p + 1, the L-type height bound's
+    2 C p + 16, the A_{0,1} split's (2d - 1) p + 1).  While no orbit shows, the
+    next probe is the least length at which one more Cartier iterate has
+    ORBIT_MIN_LENGTH terms, (ORBIT_MIN_LENGTH - 1) p^k + 1.  Once it shows, T is
+    the largest of the probe, 2 bound + 16 and the A_{0,l} split's
+    (2d - 1) p^l + 1, or the A_{l,l} split's (2d - 1) p^(2l) + 1 past a preperiod;
+    when that is the probe, its expansion and orbit are the final ones.  Two
+    rational functions of height <= bound that agree to an order above 2 bound
+    are equal, so the final check needs no more.  An explicit T below the
+    deepest split is a ReconstructionFailed naming it.  No expansion, probe or
     final, goes past MAX_T terms: BudgetExceeded names the T needed and the
-    stage that set it.  T keeps the A_{l,l} split's need when the orbit has no
-    preperiod and A_{l,l} is not built, so verified_to does not depend on it.
+    stage that set it.
     """
     L = seqgen.operator
     if L is None:
@@ -467,11 +469,19 @@ def assemble_certificate(seqgen, p, T=None):
     span = recurrence_from(L).span
     C = 2 * n * r
 
+    def height_class(orbit):
+        """(bound, kind, (T, stage) of the deepest split): A_{l,l} is built only past a preperiod."""
+        l = orbit.level
+        if orbit.preperiod == 0:
+            return C * p**l, L_BOUND, (_split_T(span, p, l), f"A_{{0,l}} split at level {l}")
+        return 2 * C * p ** (2 * l), L2_BOUND, (_split_T(span, p, 2 * l), f"A_{{l,l}} split at level {l}")
+
     probe = None
     if T is None:
         # each need is (T, the stage that needs it); max keeps the first of equal T
-        probe, stage = max((_lambda_split_T(span, p, 1), "A_{l,l} split at level 1"), (512, "orbit probe"),
-                           key=lambda need: need[0])
+        probe, stage = max((512, "orbit probe"), (_orbit_probe_T(p, 1), "orbit probe"),
+                           (2 * C * p + 16, "height bound at level 1"),
+                           (_split_T(span, p, 1), "A_{0,l} split at level 1"), key=lambda need: need[0])
         while True:
             _check_budget(probe, stage)
             f_p = series_mod_p(seqgen, p, probe)
@@ -486,16 +496,8 @@ def assemble_certificate(seqgen, p, T=None):
                 if k > ORBIT_MAX_STEPS:
                     raise
                 probe, stage = _orbit_probe_T(p, k), "orbit probe"
-        if orbit.preperiod == 0:
-            bound_guess = C * p**orbit.level
-        else:
-            bound_guess = 2 * C * p ** (2 * orbit.level)
-        T, stage = max(
-            (probe, "orbit probe"),
-            (2 * bound_guess + 16, "height bound"),
-            (_lambda_split_T(span, p, orbit.level), f"A_{{l,l}} split at level {orbit.level}"),
-            key=lambda need: need[0],
-        )
+        bound, _, split = height_class(orbit)
+        T, stage = max((probe, "orbit probe"), (2 * bound + 16, "height bound"), split, key=lambda need: need[0])
     else:
         stage = "explicit T"
     if T != probe:
@@ -503,16 +505,14 @@ def assemble_certificate(seqgen, p, T=None):
         f_p = series_mod_p(seqgen, p, T)
         orbit = orbit_detect(f_p, p)
     level = orbit.level
-    need = _lambda_split_T(span, p, level)
+    bound, kind, (need, split) = height_class(orbit)
     if T < need:
-        raise ReconstructionFailed(f"the A_{{l,l}} split at level {level} needs T >= {need} series terms, got T = {T}")
+        raise ReconstructionFailed(f"the {split} needs T >= {need} series terms, got T = {T}")
 
     A = A0l = iterate_certificates(f_p, 0, level, p, n, r, span=span)
-    bound, kind = C * p**level, L_BOUND
     if orbit.preperiod > 0:
         All = iterate_certificates(f_p, level, level, p, n, r, span=span)
         A = A0l * (All / A0l) ** (p**level)
-        bound, kind = 2 * C * p ** (2 * level), L2_BOUND
     if A.height > bound:
         raise HeightBoundViolated(A.height, bound, what="assembled certificate")
     verified = _verify_power_identity(f_p, A, f_p, p, level)
@@ -528,9 +528,9 @@ def assemble_certificate(seqgen, p, T=None):
     )
 
 
-def _lambda_split_T(span, p, level):
-    """Least T at which A_{l,l} can split Lambda^(2l-1) f: (2 span - 1) p + 1 of its terms."""
-    return (2 * span - 1) * p ** (2 * level) + 1
+def _split_T(span, p, k):
+    """Least T at which a step can split Lambda^(k-1) f: (2 span - 1) p + 1 of its terms."""
+    return (2 * span - 1) * p**k + 1
 
 
 def _orbit_probe_T(p, k):

@@ -34,6 +34,7 @@ from .errors import (
     HeightBoundViolated,
     LucascertError,
     NoCycleFound,
+    NotSeriesExpandable,
     ParseError,
     ReconstructionFailed,
 )
@@ -137,12 +138,15 @@ def cmd_opinfo(args):
     with open(args.operator, "r", encoding="utf-8") as fh:
         L = diffop_from_json(fh.read())
     report = singularities(L)
-    ind = indicial_at_zero(L)
+    try:
+        ind = format_poly(indicial_at_zero(L), var="x")
+    except NotSeriesExpandable:  # 0 is an irregular singular point
+        ind = None
     info = {
         "order": L.order,
         "basis": L.basis,
         "mom": is_mom(L),
-        "indicial": format_poly(ind, var="x"),
+        "indicial": ind,
         "finite_singular_factors": [
             {"factor": format_poly(fac), "regular": reg}
             for fac, reg in report.finite_points
@@ -162,18 +166,12 @@ def cmd_opinfo(args):
     if args.format == "json":
         _emit(args, json.dumps(info, indent=2))
     else:
+        factors = [f"{e['factor']}{'' if e['regular'] else ' (irregular)'}" for e in info["finite_singular_factors"]]
         lines = [
             f"order: {info['order']} ({info['basis']}-basis)",
             f"MOM at zero: {'yes' if info['mom'] else 'no'}",
-            f"indicial at zero: {info['indicial']}",
-            "finite singular factors: "
-            + (
-                ", ".join(
-                    f"{e['factor']}{'' if e['regular'] else ' (irregular)'}"
-                    for e in info["finite_singular_factors"]
-                )
-                or "none"
-            ),
+            f"indicial at zero: {'none, 0 is an irregular singular point' if ind is None else ind}",
+            f"finite singular factors: {', '.join(factors) or 'none'}",
             f"infinity: {info['infinity']}",
             f"count r: {info['count_r']}",
             f"good primes <= {args.bound}: {info['good_primes']}",

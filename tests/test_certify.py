@@ -441,16 +441,18 @@ def _record_series_mod_p(monkeypatch):
 
 
 def test_assemble_auto_T_for_apery_at_37_is_the_level_one_split(monkeypatch):
-    # the first probe is the A_{l,l} split's 3 p^2 + 1 terms (span 2, level >= 1); the
-    # orbit shows there at level 1 and no other stage needs more, so it is the final T
+    # the first probe is the largest level-1 need, the L-type height bound's 2 C p + 16
+    # (C = 18; the orbit probe 31 p + 1 and the A_{0,1} split's 3 p + 1 are smaller); the
+    # orbit shows there with no preperiod at level 1, so A_{l,l} is not built and the
+    # probe is the final T
     asked = _record_series_mod_p(monkeypatch)
     cert = assemble_certificate(CAT["apery"], 37)
-    assert asked == [3 * 37**2 + 1] == [4108]
-    assert (cert.level, cert.height, cert.verified_to) == (1, 36, 4108)
+    assert asked == [2 * 18 * 37 + 16] == [1348]
+    assert (cert.level, cert.height, cert.verified_to) == (1, 36, 1348)
     monkeypatch.undo()
     assert cert.A == assemble_certificate(CAT["apery"], 37, T=18944).A
     # the Q route reduced mod p, not the certify route that built the certificate
-    assert verify_certificate(cert, reduce_series_mod_p(series_over_q(CAT["apery"], 4108), 37))
+    assert verify_certificate(cert, reduce_series_mod_p(series_over_q(CAT["apery"], 1348), 37))
 
 
 def test_assemble_auto_T_probes_one_more_iterate_at_a_time(monkeypatch):
@@ -463,25 +465,37 @@ def test_assemble_auto_T_probes_one_more_iterate_at_a_time(monkeypatch):
     assert (cert.level, cert.height, cert.verified_to) == (2, 60, 20016)
 
 
-@pytest.mark.parametrize("name, p, T", [("apery", 1009, 3 * 1009**2 + 1), ("f2", 1000003, 1000003**2 + 1)])
-def test_assemble_auto_T_over_budget_expands_nothing(monkeypatch, name, p, T):
-    # the level-1 split's need is known before any expansion and is past MAX_T
+@pytest.mark.parametrize("name, p, T, stage", [
+    pytest.param("apery", 55579, 2 * 18 * 55579 + 16, "height bound at level 1", id="apery-55579-2000860"),
+    pytest.param("f2", 1000003, 31 * 1000003 + 1, "orbit probe", id="f2-1000003-31000094"),
+])
+def test_assemble_auto_T_over_budget_expands_nothing(monkeypatch, name, p, T, stage):
+    # the largest level-1 need is known before any expansion and is past MAX_T: apery's
+    # height bound 2 C p + 16 (C = 18), f2's orbit probe 31 p + 1
     asked = _record_series_mod_p(monkeypatch)
-    with pytest.raises(BudgetExceeded, match=rf"T = {T} series terms \(A_{{l,l}} split at level 1\), "
-                                             rf"above the budget MAX_T = {MAX_T}"):
+    with pytest.raises(BudgetExceeded, match=rf"T = {T} series terms \({stage}\), above the budget MAX_T = {MAX_T}"):
         assemble_certificate(CAT[name], p)
     assert asked == []
 
 
 def test_assemble_auto_T_covers_the_all_split():
-    # at p = 521 A_{l,l} splits Lambda f, which needs (2d - 1) p + 1 = 522 of its terms
-    # (span d = 1): T = p^2 + 1, the first probe, where the orbit shows
+    # at p = 521 the orbit has no preperiod, so only A_{0,1} is built, splitting f on
+    # (2d - 1) p + 1 = 522 terms (span d = 1); T is the first probe, the orbit's 31 p + 1,
+    # above the height bound's 2 C p + 16 = 8352 (C = 8)
     cert = assemble_certificate(CAT["g2"], 521)
-    assert (cert.level, cert.height, cert.verified_to) == (1, 260, 521**2 + 1)
+    assert (cert.level, cert.height, cert.verified_to) == (1, 260, 31 * 521 + 1)
 
 
-def test_assemble_explicit_T_below_the_all_split_names_the_T_needed():
-    with pytest.raises(ReconstructionFailed, match="needs T >= 1370 series terms, got T = 1200"):
+def test_assemble_explicit_T_below_the_all_split_names_the_T_needed(monkeypatch):
+    # f2's orbit at p = 7 is (1, 1): A_{2,2} splits Lambda^3 f on 7^4 + 1 terms (span 1)
+    with pytest.raises(ReconstructionFailed, match=r"the A_\{l,l\} split at level 2 needs T >= 2402 series "
+                                                  r"terms, got T = 2000"):
+        assemble_certificate(CAT["f2"], 7, T=2000)
+    # with no preperiod only A_{0,l} is built, splitting Lambda^(l-1) f; an orbit (0, 2)
+    # at p = 37 needs 37^2 + 1 terms
+    monkeypatch.setattr(certify, "orbit_detect", lambda f_p, p: certify.OrbitReport(0, 2, 2, len(f_p)))
+    with pytest.raises(ReconstructionFailed, match=r"the A_\{0,l\} split at level 2 needs T >= 1370 series "
+                                                  r"terms, got T = 1200"):
         assemble_certificate(CAT["g2"], 37, T=1200)
 
 
@@ -500,6 +514,40 @@ def test_assemble_checks_each_identity_once(monkeypatch, name, p, splits):
         monkeypatch.setattr(certify, fn_name, counting(fn_name))
     assemble_certificate(CAT[name], p)
     assert calls == {"split_pade": splits, "_verify_power_identity": 1}
+
+
+@pytest.mark.parametrize("name, p", [
+    ("g1", 37), ("g1", 101), ("g2", 37), ("g2", 101), ("g3", 37), ("g3", 101),
+    ("apery", 37), ("apery", 53), ("apery", 101),
+])
+def test_assemble_auto_T_certificate_equals_the_one_at_the_all_split_order(name, p):
+    # the L-type entries' orbits have no preperiod, so auto T no longer covers the A_{l,l}
+    # split's (2d - 1) p^2 + 1 terms; the certificate at that order is the same one
+    span = recurrence_from(CAT[name].operator).span
+    cert = assemble_certificate(CAT[name], p)
+    assert cert.bound_kind == "L_bound" and 2 * cert.bound < cert.verified_to < (2 * span - 1) * p**2 + 1
+    assert cert.A == assemble_certificate(CAT[name], p, T=(2 * span - 1) * p**2 + 1).A
+
+
+def test_final_check_at_the_auto_T_rejects_every_other_A_of_height_at_most_the_bound():
+    # f = A g with g = f(z^p) a unit, so f b' - g a' = g (a b' - a' b) / b for any A' = a'/b':
+    # its first nonzero index is the valuation of a b' - a' b, a nonzero polynomial of degree
+    # <= 2 bound when A' != A has height <= bound, and the check to T > 2 bound names it
+    cert = assemble_certificate(CAT["apery"], 37)
+    A, field, bound = cert.A, cert.A.num.field, cert.bound
+    f = series_mod_p(CAT["apery"], 37, cert.verified_to)
+    assert certify._verify_power_identity(f, A, f, 37, 1) == cert.verified_to == 1348
+    for part in ("num", "den"):
+        for i in (0, 1, 2, 17, 35, 36, 37, 100, 333, 665, bound):
+            for delta in (1, 2):  # A.den is 1 at p = 37, so no change makes it zero
+                coeffs = list(getattr(A, part).coeffs) + [field.zero] * (bound + 1)
+                coeffs[i] += delta
+                num, den = (Poly(field, coeffs), A.den) if part == "num" else (A.num, Poly(field, coeffs))
+                mutant = RatFun(num, den)
+                assert mutant != A and mutant.height <= bound
+                with pytest.raises(ReconstructionFailed) as info:
+                    certify._verify_power_identity(f, mutant, f, 37, 1)
+                assert info.value.index == (A.num * mutant.den - mutant.num * A.den).valuation() <= 2 * bound
 
 
 def test_certificate_soundness_independent_reverify():

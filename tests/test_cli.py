@@ -194,6 +194,23 @@ def test_opinfo_json(f2_op_path, capsys):
     assert info["p_curvature_nilpotent"]["3"] is True
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_opinfo_irregular_at_zero_reports_no_indicial_polynomial(tmp_path, capsys, fmt):
+    # z^2 d + 1 has the delta coefficient 1/z at 0, so 0 is an irregular singular point
+    path = tmp_path / "irregular.json"
+    path.write_text(json.dumps({"basis": "d", "coeffs": [{"num": [1]}, {"num": [0, 0, 1]}]}))
+    assert main(["opinfo", str(path), "--primes", "3", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "json":
+        info = json.loads(out)
+        assert info["indicial"] is None and info["mom"] is False
+        assert info["finite_singular_factors"] == [{"factor": "z", "regular": False}]
+    else:
+        assert "MOM at zero: no\nindicial at zero: none, 0 is an irregular singular point\n" in out
+        assert "finite singular factors: z (irregular)" in out
+
+
 OPERATOR = {"basis": "d", "coeffs": [{"num": [-2]}, {"num": [1, -4]}]}
 
 
@@ -290,32 +307,41 @@ def test_certify_huge_prime_needs_no_sieve(capsys):
 
 
 def test_certify_over_expansion_budget_is_input_error(capsys):
-    # every certificate has level >= 1, so the first probe is the A_{l,l} split's
-    # (2d - 1) p^2 + 1 terms (span d = 1), far past MAX_T at p = 1000003
+    # every certificate has level >= 1, so the first probe is the largest level-1 need,
+    # here the orbit probe 31 p + 1, past MAX_T at p = 1000003
     start = time.perf_counter()
     assert main(["certify", "f2", "-p", "1000003"]) == 1
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
-    assert f"T = {1000003**2 + 1}" in err and f"MAX_T = {MAX_T}" in err
+    assert f"T = {31 * 1000003 + 1} series terms (orbit probe)" in err and f"MAX_T = {MAX_T}" in err
     assert main(["certify", "f2", "-p", "3", "--T", str(MAX_T + 1)]) == 1
     assert f"T = {MAX_T + 1}" in capsys.readouterr().err
 
 
 def test_certify_apery_over_q_route_budget_is_input_error(capsys):
-    # apery has no digit route: its first probe, the A_{l,l} split's 3 p^2 + 1 terms
-    # (span 2), is past MAX_Q_T at p = 211 and past MAX_T at p = 1009
+    # apery has no digit route: its first probe, the L-type height bound's 2 C p + 16 terms
+    # (C = 18), is past MAX_Q_T at p = 1531 (1523 is the last prime under it) and past MAX_T
+    # at p = 55579
     start = time.perf_counter()
-    assert main(["certify", "apery", "-p", "211"]) == 1
+    assert main(["certify", "apery", "-p", "1531"]) == 1
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
-    assert f"'apery' needs T = {3 * 211**2 + 1} terms over Q" in err and f"MAX_Q_T = {MAX_Q_T}" in err
+    assert f"'apery' needs T = {36 * 1531 + 16} terms over Q" in err and f"MAX_Q_T = {MAX_Q_T}" in err
+    assert 36 * 1523 + 16 <= MAX_Q_T < 36 * 1531 + 16
     assert "Traceback" not in err
     start = time.perf_counter()
-    assert main(["certify", "apery", "-p", "1009"]) == 1
+    assert main(["certify", "apery", "-p", "55579"]) == 1
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
-    assert f"T = {3 * 1009**2 + 1}" in err and f"MAX_T = {MAX_T}" in err
+    assert f"T = {36 * 55579 + 16} series terms (height bound at level 1)" in err and f"MAX_T = {MAX_T}" in err
     assert "Traceback" not in err
+
+
+def test_certify_apery_at_211_stops_at_the_height_bound(capsys):
+    # the orbit has no preperiod, so T is the height bound's 2 C p + 16, not 3 p^2 + 1 = 133564
+    assert main(["certify", "apery", "-p", "211"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["level"], cert["height"], cert["bound"], cert["verified_to"]) == (1, 210, 3798, 7612)
 
 
 def test_certify_bad_prime(capsys):
