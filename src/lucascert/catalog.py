@@ -17,13 +17,15 @@ the Apery test oracle), and everything else is a big-integer binomial
 sum, its binomials walked along their rows by exact updates.  An `apery`
 entry always expands the built-in Apery operator, whatever operator it
 carries.  `series_mod_p` computes f|_p of the binomial kinds (binom_power,
-f_r, cy210, cy26) from base-p digits by Lucas' theorem, with no big
-integers, and reduces the Q expansion of the others; the Q route is the
-digit routes' test oracle and the one `p_lucas_check` keeps.
+f_r, cy210, cy26) from base-p digits by Lucas' theorem with no big integers
+(C(2n,n)^r a digit level per list pass, times a row in n mod p for f_r; the
+cy210 sum a product over the digits of 2n), and reduces the Q expansion of
+the others; the Q route is their test oracle and the one `p_lucas_check` keeps.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .diffop import (
@@ -121,7 +123,7 @@ def series_over_q(g, T):
 
 
 def series_mod_p(g, p, T):
-    """f|_p to order T: by Lucas digits for binomial-type kinds, else reduced from Q (T <= MAX_Q_T)."""
+    """f|_p to order T: by Lucas digits for binomial kinds (see _digit_products), else from Q (T <= MAX_Q_T)."""
     route = _MOD_P_ROUTES.get(g.kind)
     if route is None:
         if T > MAX_Q_T:
@@ -132,27 +134,32 @@ def series_mod_p(g, p, T):
     return TruncSeries._canonical(PrimeField(p), route(g, p, T))  # PrimeField rejects a non-prime p first
 
 
-def _central_binomials_mod_p(T, p):
-    """C(2n,n) mod p for n < T: C(2d,d) over the base-p digits d of n, multiplied."""
-    digit = [_lucas(2 * d, d, p) for d in range(min(p, T))]
+def _digit_products(row, p, T):
+    """The product of row[d] over the base-p digits d of n, mod p, for n < T (row[0] = 1), one digit level a pass."""
     out = [1]
-    for n in range(1, T):
-        out.append(out[n // p] * digit[n % p] % p)
-    return out
+    while len(out) < T:
+        out = [a * d % p for a in out[:-(-T // p)] for d in row]
+    return out[:T]
+
+
+def _central_row(p, r, T):
+    return [pow(_lucas(2 * d, d, p), r, p) for d in range(min(p, T))]  # C(2d,d)^r mod p, digits d < p
 
 
 def _f_r_mod_p(g, p, T):
-    # -C(2n,n)^r / (2n-1) = -2 Catalan(n-1) C(2n,n)^(r-1), Catalan(n-1) = C(2n-2,n-1) - C(2n-2,n)
-    central = _central_binomials_mod_p(T, p)
-    out = [1]
-    for n in range(1, T):
-        catalan = central[n - 1] - _lucas(2 * n - 2, n, p)
-        out.append(-2 * catalan * pow(central[n], g.r - 1, p) % p)
+    # n = qp + d: -C(2n,n)^r / (2n-1) = C(2q,q)^r C(2d,d)^r (-(2d-1)^(-1)) mod p, but at d = (p+1)/2,
+    # where p | 2n - 1, the term -2 Catalan(n-1) C(2n,n)^(r-1) is 0 for r >= 2 (C(2n,n) = 0 mod p) and,
+    # by Lucas on Catalan(n-1) = C(2n-2,n-1) - C(2n-2,n), -4 (-1)^((p-1)/2) C(2q,q) for r = 1
+    central = _central_row(p, g.r, T)
+    catalan = -4 * (-1) ** ((p - 1) // 2) if g.r == 1 else 0
+    last = [(-c * pow(2 * d - 1, -1, p) if (2 * d - 1) % p else catalan) % p for d, c in enumerate(central)]
+    out = [h * e % p for h in _digit_products(central, p, -(-T // p)) for e in last]
+    del out[T:]  # in place: a slice would hold a second list of T
     return out
 
 
 _MOD_P_ROUTES = {
-    "binom_power": lambda g, p, T: [pow(b, g.r, p) for b in _central_binomials_mod_p(T, p)],
+    "binom_power": lambda g, p, T: _digit_products(_central_row(p, g.r, T), p, T),
     "f_r": _f_r_mod_p,
     "cy210": lambda g, p, T: [cy210_mod(j, p) for j in range(T)],
     "cy26": lambda g, p, T: [cy26_mod(j, p) for j in range(T)],
@@ -178,22 +185,30 @@ def _lucas(n, k, p):
         ki, k = k % p, k // p
         if ki > ni:
             return 0
-        out = out * comb(ni, ki) % p
-        if out == 0:
-            return 0
+        out = out * comb(ni, ki) % p  # nonzero: 0 <= ki <= ni < p
     return out
 
 
 def cy210_mod(n, p):
-    """cy210_term(n) mod p, every binomial by Lucas digits; p is checked once."""
+    """cy210_term(n) mod p: by Lucas, the sum over k is the product of S_p(m) over the base-p digits m of 2n,
+    since (-1)^k is the product of the (-1)^(k_i) (k = sum k_i mod 2 for odd p, and -1 = 1 mod 2)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    s = sum((-1) ** k * _lucas(2 * n, k, p) ** 4 for k in range(2 * n + 1))
+    s, m = 1, 2 * n
+    while m:
+        m, digit = divmod(m, p)
+        s = s * _cy210_digit_sum(digit, p) % p
     return _lucas(2 * n, n, p) * s % p
 
 
+@cache
+def _cy210_digit_sum(m, p):
+    """S_p(m) = sum_j (-1)^j C(m,j)^4 mod p for a base-p digit m, made once per digit met."""
+    return sum((-1) ** j * comb(m, j) ** 4 for j in range(m + 1)) % p
+
+
 def cy26_mod(n, p):
-    """cy26_term(n) mod p, every binomial by Lucas digits; p is checked once."""
+    """cy26_term(n) mod p, a Lucas walk per binomial: the carries in n + k and 2k keep the sum from factoring."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     s = sum(_lucas(n, k, p) ** 2 * _lucas(n + k, k, p) * _lucas(2 * k, n, p)
@@ -231,6 +246,7 @@ def _op_delta(ascending_polys):
     return diffop_from_polys(QQ, "delta", ascending_polys)
 
 
+@cache
 def _build_default():
     # annihilators, in ascending derivative/delta order (constant term first)
     op_g1 = _op_d([[-2], [1, -4]])  # (1-4z) d/dz - 2
@@ -253,14 +269,8 @@ def _build_default():
     return {e.name: e for e in entries}
 
 
-_DEFAULT = None
-
-
 def default_catalog():
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = _build_default()
-    return dict(_DEFAULT)
+    return dict(_build_default())
 
 
 def lookup(name, catalog=None):
@@ -274,19 +284,9 @@ def lookup(name, catalog=None):
 def hypergeometric_fr_operator(r):
     """The order-r annihilator delta^r - 4^r z (delta - 1/2)(delta + 1/2)^(r-1) of f_r."""
     half = Fraction(1, 2)
-    # expand (x - 1/2)(x + 1/2)^(r-1) as a polynomial in x
-    pol = Poly(QQ, [-half, Fraction(1)])
-    plus = Poly(QQ, [half, Fraction(1)])
-    for _ in range(r - 1):
-        pol = pol * plus
-    scale = Fraction(4**r)
-    # delta^r - 4^r z * pol(delta): coefficient of delta^k is [k == r] - 4^r z pol_k
-    ascending = []
-    for k in range(r + 1):
-        const = Fraction(1) if k == r else Fraction(0)
-        zcoef = -scale * pol[k]
-        ascending.append([const, zcoef])
-    return _op_delta(ascending)
+    pol = Poly(QQ, [-half, Fraction(1)]) * Poly(QQ, [half, Fraction(1)]) ** (r - 1)
+    # the coefficient of delta^k is [k == r] - 4^r z pol_k
+    return _op_delta([[Fraction(k == r), -(4**r) * pol[k]] for k in range(r + 1)])
 
 
 # -- catalog JSON -----------------------------------------------------------------

@@ -186,6 +186,10 @@ def cmd_certify(args):
     entry = lookup(args.series, _load_cat(args))
     cert = assemble_certificate(entry, args.p, T=args.T)
     _emit(args, json.dumps(cert.to_json(), indent=2))
+    if cert.verified_to <= 2 * cert.bound:
+        # two height-<= bound rational functions agreeing past order 2 bound are equal; this one is not pinned
+        print(f"warning: verified_to = {cert.verified_to} is at most 2*bound = {2 * cert.bound}, "
+              f"so the check does not pin A among rational functions of height <= {cert.bound}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -178,12 +178,13 @@ def test_central_binomial_digit_shift():
 
 # -- series_mod_p: the Lucas-digit routes against the Q route ---------------------
 
-ROUTE_PRIMES = (3, 5, 7, 11, 13, 37)
+ROUTE_PRIMES = (2, 3, 5, 7, 11, 13, 37)
 EXTRA = catalog_from_json(
     [
         {"name": "b4", "kind": "binom_power", "r": 4},
         {"name": "f4", "kind": "f_r", "r": 4},
         {"name": "f5", "kind": "f_r", "r": 5},
+        {"name": "f1r", "kind": "f_r", "r": 1},
     ]
 )
 
@@ -193,10 +194,13 @@ def _q_route(entry, p, T):
 
 
 @pytest.mark.parametrize("p", ROUTE_PRIMES)
-@pytest.mark.parametrize("name", ["g1", "g2", "g3", "f1", "f2", "f3", "b4", "f4", "f5"])
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "f1", "f2", "f3", "b4", "f4", "f5", "f1r"])
 def test_series_mod_p_digit_route_matches_q_route(name, p):
+    # the blocks' edge cases: p = 2; f1r, the one f_r whose terms at n = (p+1)/2 mod p are
+    # nonzero; and T at the digit-level edges p^k - 1, p^k, p^k + 1 for k <= 3, to T = 2200
     entry = CAT.get(name) or EXTRA[name]
-    for T in (1, 2, p, 2000):
+    edges = (t for k in (1, 2, 3) for t in (p**k - 1, p**k, p**k + 1) if 1 <= t <= 2200)
+    for T in sorted({1, 2, 2000, *edges}):
         fast, slow = series_mod_p(entry, p, T), _q_route(entry, p, T)
         assert (fast.field, fast.coeffs) == (slow.field, slow.coeffs), (name, p, T)
 
@@ -216,6 +220,19 @@ def test_series_mod_p_digit_route_rejects_bad_input():
             series_mod_p(CAT["g2"], p, 10)
     with pytest.raises(ValueError):
         series_mod_p(CAT["f2"], 5, 0)
+
+
+def _cy210_mod_per_k(n, p):
+    """cy210_term(n) mod p by the sum over k, one Lucas walk per binomial."""
+    s = sum((-1) ** k * lucas_binom(2 * n, k, p) ** 4 for k in range(2 * n + 1))
+    return lucas_binom(2 * n, n, p) * s % p
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13, 31, 37))
+def test_cy210_mod_digit_sums_match_the_sum_over_k(p):
+    # past 480 and 684, 2n has three digits at p = 31 and 37
+    for n in (*range(300), 481, 500, 685, 699):
+        assert cy210_mod(n, p) == _cy210_mod_per_k(n, p), (n, p)
 
 
 @pytest.mark.parametrize("term_mod", [cy210_mod, cy26_mod])

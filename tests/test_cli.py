@@ -289,6 +289,20 @@ def test_certify_f2_height_12(capsys):
     assert cert["height"] == 12
 
 
+def test_certify_warns_when_explicit_T_does_not_pin_A(capsys):
+    # verified_to 512 <= 2 * bound = 2592: the stdout and exit code stay, stderr says so
+    assert main(["certify", "f2", "-p", "3", "--T", "512"]) == 0
+    captured = capsys.readouterr()
+    cert = json.loads(captured.out)
+    assert (cert["verified_to"], cert["bound"]) == (512, 1296)
+    assert captured.err.startswith("warning: verified_to = 512 is at most 2*bound = 2592")
+    # auto T is sized above 2 * bound, so it leaves stderr empty
+    assert main(["certify", "f2", "-p", "3"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verified_to"] > 2 * 1296
+    assert captured.err == ""
+
+
 def test_certify_f2_p7_auto_T(capsys):
     # auto T = 76848: desk scale because f2 is expanded mod p by Lucas digits, not over Q
     assert main(["certify", "f2", "-p", "7"]) == 0
