@@ -2,9 +2,10 @@
 
 Each case returns a CaseResult whose checks are (label, passed, detail)
 triples; congruences are always evaluated by two independent routes
-(exact big-integer sums reduced mod p, and digit-wise Lucas-theorem
-evaluation) that must agree.  Series mod p come from the Q expansion, never
-from the Lucas-digit route of `series_mod_p` whose congruences are checked.
+(exact big-integer binomials whose residues mod p are summed, and digit-wise
+Lucas-theorem evaluation) that must agree.  Series mod p come from the Q
+expansion, never from the Lucas-digit route of `series_mod_p` whose
+congruences are checked.
 Rational reconstruction also runs by two routes that must agree: the
 extended Euclidean algorithm (`pade_ratio`) at the working order, and the
 dense kernel solve (`pade_kernel`) at the tight order 2h + 1 for height h.
@@ -71,9 +72,9 @@ def _excluded(result, why):
 
 
 def _fixed_point_congruence(result, term, p, Jmax, series_mod_term):
-    """Check a(jp) = a(j) mod p by exact sums and by the Lucas-digit route."""
+    """Check a(jp) = a(j) mod p by exact binomials reduced mod p and by the Lucas-digit route."""
     for j in range(0, Jmax + 1):
-        e_big, e_small = term(j * p) % p, term(j) % p
+        e_big, e_small = term(j * p, p), term(j, p)
         d_big, d_small = series_mod_term(j * p, p), series_mod_term(j, p)
         congruent = e_big == e_small
         routes_agree = d_big == e_big and d_small == e_small

@@ -16,11 +16,15 @@ stays on integers while the terms are integral; the double binomial sum is
 the Apery test oracle), and everything else is a big-integer binomial
 sum, its binomials walked along their rows by exact updates.  An `apery`
 entry always expands the built-in Apery operator, whatever operator it
-carries.  `series_mod_p` computes f|_p of the binomial kinds (binom_power,
-f_r, cy210, cy26) from base-p digits by Lucas' theorem with no big integers
-(C(2n,n)^r a digit level per list pass, times a row in n mod p for f_r; the
-cy210 sum a product over the digits of 2n), and reduces the Q expansion of
-the others; the Q route is their test oracle and the one `p_lucas_check` keeps.
+carries.  `cy210_term` and `cy26_term` also take a modulus: the binomials
+are still walked exactly, and each is reduced before its powers and
+products, so the residue costs no big powers and no Lucas digits.
+`series_mod_p` computes f|_p of the binomial kinds (binom_power, f_r, cy210,
+cy26) from base-p digits by Lucas' theorem with no big integers (C(2n,n)^r a
+digit level per list pass, times a row in n mod p for f_r; the cy210 sum a
+product over the digits of 2n; the cy26 sum from k = ceil(n/2), where
+C(2k, n) stops being 0), and reduces the Q expansion of the others; the Q
+route is their test oracle and the one `p_lucas_check` keeps.
 """
 
 from dataclasses import dataclass
@@ -97,25 +101,33 @@ def _central_binomials(T):
     return out[:T]
 
 
-def cy210_term(j):
-    """C(2j,j) sum_k (-1)^k C(2j,k)^4: by k <-> 2j - k, twice the sum over k < j plus the middle term."""
+def cy210_term(j, mod=None):
+    """C(2j,j) sum_k (-1)^k C(2j,k)^4: by k <-> 2j - k, twice the sum over k < j plus the middle term.
+
+    With `mod`, the term mod `mod`: each exact C(2j,k) is reduced before its fourth power
+    (pow(c, e, None) is c**e, so one loop serves both forms).
+    """
     c, s = 1, 0  # c = C(2j,k) along its row, ending at C(2j,j)
     for k in range(j):
-        s += -c**4 if k & 1 else c**4
+        c4 = pow(c, 4, mod)
+        s += -c4 if k & 1 else c4
         c = c * (2 * j - k) // (k + 1)
-    return c * (2 * s + (-1) ** j * c**4)
+    return pow(c * (2 * s + (-1) ** j * pow(c, 4, mod)), 1, mod)
 
 
-def cy26_term(j):
-    """C(2j,j) sum_k C(j,k)^2 C(j+k,k) C(2k,j), from k = ceil(j/2), below which C(2k,j) = 0."""
+def cy26_term(j, mod=None):
+    """C(2j,j) sum_k C(j,k)^2 C(j+k,k) C(2k,j), from k = ceil(j/2), below which C(2k,j) = 0.
+
+    With `mod`, the term mod `mod`: each exact binomial is reduced before its powers and products.
+    """
     k0 = (j + 1) // 2
     a, b, c, s = comb(j, k0), comb(j + k0, k0), comb(2 * k0, j), 0
     for k in range(k0, j + 1):  # a, b, c = C(j,k), C(j+k,k), C(2k,j); each // is exact
-        s += a * a * b * c
+        s += pow(a, 2, mod) * pow(b, 1, mod) * pow(c, 1, mod)
         a = a * (j - k) // (k + 1)
         b = b * (j + k + 1) // (k + 1)
         c = c * (2 * k + 1) * (2 * k + 2) // ((2 * k + 1 - j) * (2 * k + 2 - j))
-    return comb(2 * j, j) * s
+    return pow(comb(2 * j, j) * s, 1, mod)
 
 
 def series_over_q(g, T):
@@ -192,8 +204,7 @@ def _lucas(n, k, p):
 def cy210_mod(n, p):
     """cy210_term(n) mod p: by Lucas, the sum over k is the product of S_p(m) over the base-p digits m of 2n,
     since (-1)^k is the product of the (-1)^(k_i) (k = sum k_i mod 2 for odd p, and -1 = 1 mod 2)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    PrimeField(p)  # raises ValueError on a non-prime; a dict lookup once p has been checked
     s, m = 1, 2 * n
     while m:
         m, digit = divmod(m, p)
@@ -208,11 +219,17 @@ def _cy210_digit_sum(m, p):
 
 
 def cy26_mod(n, p):
-    """cy26_term(n) mod p, a Lucas walk per binomial: the carries in n + k and 2k keep the sum from factoring."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    s = sum(_lucas(n, k, p) ** 2 * _lucas(n + k, k, p) * _lucas(2 * k, n, p)
-            for k in range(n + 1))
+    """cy26_term(n) mod p, a Lucas walk per binomial: the carries in n + k and 2k keep the sum from factoring.
+
+    The sum starts at k = ceil(n/2), since C(2k, n) = 0 for 2k < n, and a k where C(2k, n) or C(n, k)
+    is 0 mod p skips the walks after it.
+    """
+    PrimeField(p)  # raises ValueError on a non-prime; a dict lookup once p has been checked
+    s = 0
+    for k in range((n + 1) // 2, n + 1):
+        c = _lucas(2 * k, n, p)
+        if c and (a := _lucas(n, k, p)):
+            s += a * a * _lucas(n + k, k, p) * c
     return _lucas(2 * n, n, p) * s % p
 
 

@@ -65,9 +65,11 @@ MAX_SUM_EXPAND_T = 400
 # and grows about as p^1.9 (same host), so p = 401 takes 0.5 s; a random order-16 delta-operator
 # with degree-16 coefficients takes 0.66 s at p = 5. The order is not budgeted yet
 MAX_CURVATURE_P = 211
-# casebook budget, in p, for the cases whose work grows with p: 210 sums jp + 1 big binomials for
-# each a(jp), j <= 20, and takes 0.08-0.18 s at p = 61 and 67, 0.12 s at 71 and 0.3 s at 101
-# (same host, in-process); 26 takes 0.03-0.05 s and independence 0.1 s at 67
+# casebook budget, in p, for the cases whose work grows with p. Measured as the first case run in a
+# fresh process (2 cores, CPython 3.11.7, three runs each): independence, which expands its series
+# over Q to T = max(300, p + 8), is the costly one at 0.05-0.13 s at p = 61 and 67, 0.08-0.12 s at 71
+# and 0.13-0.26 s at 101; 210 and 26, which walk jp + 1 exact binomials for each a(jp) but reduce
+# them mod p before any power, take 0.012-0.02 s at 61 to 71 and 0.035-0.04 s at 101
 MAX_CASEBOOK_P = 67
 
 

@@ -12,6 +12,7 @@ from lucascert import (
     run_case,
 )
 from lucascert import GF, Poly, casebook
+from lucascert.catalog import cy26_mod, cy26_term
 
 
 def test_case_210_small_primes():
@@ -34,6 +35,19 @@ def test_case_26():
     # j = 0 row is the trivial 1 = 1 congruence and is part of the sweep
     res0 = case_26(7, Jmax=0)
     assert res0.passed
+
+
+def test_fixed_point_congruence_fails_on_a_wrong_exact_term():
+    # one exact term off by one at index 3p: the routes disagree there, and the check fails
+    p = 5
+
+    def wrong_term(n, mod):
+        return (cy26_term(n) + (n == 3 * p)) % mod
+
+    res = casebook.CaseResult("26", p)
+    casebook._fixed_point_congruence(res, wrong_term, p, 8, cy26_mod)
+    assert not res.passed
+    assert res.checks == [(f"a(3p) = a(3) mod {p}", False, "congruent: False, routes agree: False")]
 
 
 def test_case_2f1_heights_p3():

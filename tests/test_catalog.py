@@ -109,11 +109,13 @@ def test_cy_series_against_direct_summation():
 
 def test_cy_terms_walked_along_rows_match_factorial_oracles():
     # every index to 80, and the largest a(jp) the casebook reaches at MAX_CASEBOOK_P = 67:
-    # 20 * 67 for cy210 (Jmax = 20), 15 * 67 for cy26 (Jmax = 15)
-    for j in [*range(81), 20 * 67]:
-        assert cy210_term(j) == cy210_direct(j), j
-    for j in [*range(81), 15 * 67]:
-        assert cy26_term(j) == cy26_direct(j), j
+    # 20 * 67 for cy210 (Jmax = 20), 15 * 67 for cy26 (Jmax = 15); exact, and reduced by a modulus
+    for term, direct, top in ((cy210_term, cy210_direct, 20 * 67), (cy26_term, cy26_direct, 15 * 67)):
+        for j in [*range(81), top]:
+            exact = direct(j)
+            assert term(j) == exact, (term.__name__, j)
+            for p in (2, 3, 5, 67):
+                assert term(j, p) == exact % p, (term.__name__, j, p)
 
 
 def test_cy_terms_never_use_the_lucas_route(monkeypatch):
@@ -124,6 +126,9 @@ def test_cy_terms_never_use_the_lucas_route(monkeypatch):
     monkeypatch.setattr(catalog, "_lucas", no_lucas)
     assert cy210_term(100) == cy210_direct(100)
     assert cy26_term(100) == cy26_direct(100)
+    for p in (3, 7):
+        assert cy210_term(100, p) == cy210_direct(100) % p
+        assert cy26_term(100, p) == cy26_direct(100) % p
 
 
 def test_all_entries_start_at_one():
@@ -233,6 +238,14 @@ def test_cy210_mod_digit_sums_match_the_sum_over_k(p):
     # past 480 and 684, 2n has three digits at p = 31 and 37
     for n in (*range(300), 481, 500, 685, 699):
         assert cy210_mod(n, p) == _cy210_mod_per_k(n, p), (n, p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_cy26_mod_from_half_n_matches_the_exact_term(p):
+    # the Lucas sum starts at k = ceil(n/2); check it at 0, 1, multiples of p and p^k +- 1
+    edges = (p**k + d for k in (1, 2, 3) for d in (-1, 1) if p**k + d <= 400)
+    for n in sorted({0, 1, *range(p, 400, p), *edges}):
+        assert cy26_mod(n, p) == cy26_term(n) % p, (n, p)
 
 
 @pytest.mark.parametrize("term_mod", [cy210_mod, cy26_mod])
