@@ -5,7 +5,9 @@ triples; congruences are always evaluated by two independent routes
 (exact big-integer binomials whose residues mod p are summed, and digit-wise
 Lucas-theorem evaluation) that must agree.  Series mod p come from the Q
 expansion, never from the Lucas-digit route of `series_mod_p` whose
-congruences are checked.
+congruences are checked.  Each Q series is expanded once per order for all
+primes, the Apery numbers that `p_lucas_check` reduces included; the exact
+identities over Q (L_r(f_r) = 0, the 2F1 links of f_1 and f_2) are `DiffOp.apply`.
 Rational reconstruction also runs by two routes that must agree: the
 extended Euclidean algorithm (`pade_ratio`) at the working order, and the
 dense kernel solve (`pade_kernel`) at the tight order 2h + 1 for height h.
@@ -26,7 +28,7 @@ from .catalog import (
     p_lucas_check,
     hypergeometric_fr_operator,
 )
-from .diffop import is_mom, indicial_at_zero
+from .diffop import diffop_from_polys, is_mom, indicial_at_zero
 from .certify import pade_kernel, pade_ratio
 from .errors import ReconstructionFailed, UnknownCase
 from .fields import GF, QQ
@@ -113,7 +115,7 @@ def case_26(p, Jmax=15):
 def case_apery_lucas(p, M=500):
     """p-Lucas property of the Apery numbers up to index M."""
     result = CaseResult("apery-lucas", p)
-    ok, witness = p_lucas_check(lookup("apery"), p, M)
+    ok, witness = p_lucas_check(_series_over_q("apery", M + 1), p, M)
     result.add(f"a(r+mp) = a(r)a(m) mod {p}, indices <= {M}", ok, str(witness or ""))
     result.orders["M"] = M
     return result
@@ -208,11 +210,12 @@ def _series_over_q(name, T):
 
 @cache
 def _2f1_q_identities(T):
-    """(label, ok) of f_2 = (1-16z)(f_1 + 2 delta f_1) and f_1 = f_2 - 2 delta f_2 over Q to order T, for any p."""
+    """(label, ok) of f_2 = (1-16z)(1 + 2 delta)(f_1) and f_1 = (1 - 2 delta)(f_2) over Q to order T, for any p."""
     f1_q, f2_q = _series_over_q("f1", T), _series_over_q("f2", T)
-    rhs_f2 = (f1_q + f1_q.delta().scale(2)).mul_poly(Poly(QQ, [1, -16]))
-    return (("f2-from-f1", f2_q.eq_to_order(rhs_f2, T)),
-            ("f1-from-f2", f1_q.eq_to_order(f2_q - f2_q.delta().scale(2), T)))
+    to_f2 = diffop_from_polys(QQ, "delta", [[1, -16], [2, -32]])
+    to_f1 = diffop_from_polys(QQ, "delta", [[1], [-2]])
+    return (("f2-from-f1", f2_q.eq_to_order(to_f2.apply(f1_q), T)),
+            ("f1-from-f2", f1_q.eq_to_order(to_f1.apply(f2_q), T)))
 
 
 @cache

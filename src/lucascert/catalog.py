@@ -236,10 +236,14 @@ def cy26_mod(n, p):
 def p_lucas_check(g, p, M):
     """Test a(r + mp) = a(r) a(m) mod p for all r in [0,p), m >= 1, r + mp <= M.
 
-    Returns (True, None) or (False, (r, m)) with the first violation in
-    lexicographic (m, r) order.  Coefficients must be p-local up to M.
+    g is a catalog entry, expanded over Q, or a Q series that the caller keeps,
+    of at least M + 1 terms (ValueError if shorter); the exact terms are reduced
+    either way.  Returns (True, None) or (False, (r, m)) with the first violation
+    in lexicographic (m, r) order.  Coefficients must be p-local up to M.
     """
-    terms = gen_terms(g, M + 1)
+    terms = g.coeffs[: M + 1] if isinstance(g, TruncSeries) else gen_terms(g, M + 1)
+    if len(terms) <= M:
+        raise ValueError(f"p-Lucas test to index {M} needs {M + 1} terms, the series has {len(terms)}")
     if terms[0] != 1:
         raise ValueError("p-Lucas test requires a(0) = 1")
     residues = [reduce_rat_mod_p(t, p) for t in terms]

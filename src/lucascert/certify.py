@@ -175,7 +175,7 @@ def split_pade(f_p, d, p):
 def pade_ratio(num_series, den_series, deg_bound):
     """Reduced (u, v), deg <= deg_bound = D and v monic, with u*den = v*num to order T.
 
-    The extended Euclidean algorithm on z^k and num/den mod z^k, k = min(2D + 2, T)
+    The extended Euclidean algorithm on z^k and num/den mod z^k (a Newton division), k = min(2D + 2, T)
     (von zur Gathen-Gerhard, Modern Computer Algebra, 5.7-5.9), stops at the first
     remainder r_j of degree <= D; (r_j, t_j) divides every solution of degree <= D.
     One product checks it to order T: if it first fails at index e, z^(T-e) (r_j, t_j)
@@ -189,7 +189,7 @@ def pade_ratio(num_series, den_series, deg_bound):
     if not den_series[0]:
         raise ValueError("rational reconstruction needs den(0) != 0")
     k = min(2 * deg_bound + 2, T)
-    s = num_series.truncate(k).div_poly(den_series.truncate(k).poly())
+    s = num_series.truncate(k) / den_series.truncate(k)
     r0, r1 = Poly.one(field).shift(k), s.poly()
     t0, t1 = Poly.zero(field), Poly.one(field)
     while r1.degree() > deg_bound:

@@ -67,9 +67,9 @@ MAX_SUM_EXPAND_T = 400
 MAX_CURVATURE_P = 211
 # casebook budget, in p, for the cases whose work grows with p. Measured as the first case run in a
 # fresh process (2 cores, CPython 3.11.7, three runs each): independence, which expands its series
-# over Q to T = max(300, p + 8), is the costly one at 0.05-0.13 s at p = 61 and 67, 0.08-0.12 s at 71
-# and 0.13-0.26 s at 101; 210 and 26, which walk jp + 1 exact binomials for each a(jp) but reduce
-# them mod p before any power, take 0.012-0.02 s at 61 to 71 and 0.035-0.04 s at 101
+# over Q to T = max(300, p + 8), is the costly one at 0.03-0.08 s at p = 61 and 67, 0.04-0.06 s at 71
+# and 0.10-0.17 s at 101; 210 and 26, which walk jp + 1 exact binomials for each a(jp) but reduce
+# them mod p before any power, take 0.010-0.016 s at 61 to 71 and 0.021-0.027 s at 101
 MAX_CASEBOOK_P = 67
 
 

@@ -97,16 +97,18 @@ class DiffOp:
         )
 
     def apply(self, f):
-        """Apply the operator to a truncated series.
+        """Apply the numerators of the delta form (`to_delta`) to f, exact to its truncation order.
 
-        Uses the numerators of the delta form, so the residual is exact to
-        the full truncation order of f.
+        Coefficient m is sum_j Q_j(m - j) f_(m-j), with the Q_j of `_index_polys`, summed
+        on integers (`_cleared`) into one Fraction, or one residue mod p, per coefficient.
         """
-        out = TruncSeries.zero(f.field, len(f))
-        for pk in reversed(to_delta(self).nums):
-            out = out + f.mul_poly(pk)
-            f = f.delta()
-        return out
+        if f.field != self.field:
+            raise TypeError("series/operator fields do not match")
+        fden, (fs,) = _cleared([f.coeffs])
+        qden, Q = _cleared([P.coeffs for P in _index_polys(to_delta(self))])
+        out = [sum(_horner(q, m - j) * fs[m - j] for j, q in enumerate(Q[: m + 1])) for m in range(len(fs))]
+        p, den = self.field.char, fden * qden
+        return TruncSeries._canonical(self.field, [c % p for c in out] if p else [Fraction(c, den) for c in out])
 
     def __repr__(self):
         sym = "d/dz" if self.basis == D_BASIS else "delta"
@@ -484,20 +486,25 @@ def recurrence_from(L):
     and Q_0 proportional to x^n; raises NotMomAtZero otherwise.
     """
     Ld = to_delta(L)
-    field = Ld.field
-    n = Ld.order
-    polys = Ld.nums  # decreasing delta order
-    span = max(p.degree() for p in polys if not p.is_zero())
-    Q = []
-    for j in range(span + 1):
-        Q.append(Poly(field, [polys[n - i][j] for i in range(n + 1)]))
-    expected = Poly.x(field) ** n
-    if Q[0].is_zero() or Q[0].monic() != expected:
+    field, n = Ld.field, Ld.order
+    Q = _index_polys(Ld)
+    if Q[0].monic() != Poly.x(field) ** n:  # the zero Q_0 included
         raise NotMomAtZero(f"Q_0 = {format_poly(Q[0], var='x')} is not proportional to x^{n}")
-    lead = Q[0].leading()
-    inv = field.inv(lead)
-    Q = [q.scale(inv) for q in Q]
-    return Recurrence(tuple(Q), span)
+    inv = field.inv(Q[0].leading())
+    return Recurrence(tuple(q.scale(inv) for q in Q), len(Q) - 1)
+
+
+def _index_polys(Ld):
+    """Q_0, ..., Q_s of the delta-basis Ld = sum_j z^j Q_j(delta), s the largest coefficient degree."""
+    n, N = Ld.order, Ld.nums  # N by decreasing delta order
+    span = max(P.degree() for P in N)
+    return [Poly(Ld.field, [N[n - i][j] for i in range(n + 1)]) for j in range(span + 1)]
+
+
+def _cleared(seqs):
+    """(den, int lists): the sequences of seqs over their lcm denominator; 1 for F_p residues (ints)."""
+    den = lcm(*(v.denominator for s in seqs for v in s))
+    return den, [[v.numerator * (den // v.denominator) for v in s] for s in seqs]
 
 
 def expand(rec, initial, T):
@@ -514,8 +521,7 @@ def expand(rec, initial, T):
     if rec.polys[0].field != QQ:
         raise TypeError("expand solves recurrences over Q")
     # a_m = sum_j Q_j(m - j) a_(m-j) / -Q_0(m), every Q_j times the lcm of the denominators
-    den = lcm(*(v.denominator for P in rec.polys for v in P.coeffs))
-    q0, *rest = [[v.numerator * (den // v.denominator) for v in P.coeffs] for P in rec.polys]
+    _, (q0, *rest) = _cleared([P.coeffs for P in rec.polys])
     coeffs = [int(v) if v.denominator == 1 else v for v in map(QQ.coerce, initial[:T])]
     for m in range(len(coeffs), T):
         d = -_horner(q0, m)

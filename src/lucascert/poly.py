@@ -12,7 +12,8 @@ intermediate value (the leading remainder term in `divmod`, the Horner
 accumulator in `eval`, the running product in `resultant`) coerces it
 once, where it is read.  Multiplication over a prime field packs
 coefficients into a single big integer (Kronecker substitution) so that
-products of the large polynomial powers in certificate heights stay cheap.
+products of the large polynomial powers in certificate heights stay cheap,
+and those powers go by base-p digits, P^p = P(z^p), with no squaring.
 
 Irreducible factorization splits off squarefree parts here and factors
 each one with the algorithms of `factoring`, which run on this class;
@@ -157,9 +158,16 @@ class Poly:
         return Poly(self.field, (self.field.zero,) * k + self.coeffs)
 
     def __pow__(self, e, modulus=None):
-        """self^e; pow(self, e, m) is self^e mod m, reduced after every product."""
+        """self^e; pow(self, e, m) is self^e mod m, reduced after every product.
+
+        Over F_p with no modulus, self^(e'p + d) = (self^e')(z^p) self^d, as P^p = P(z^p) in F_p[z].
+        """
         if e < 0:
             raise ValueError("negative polynomial power")
+        p = self.field.char
+        if p and modulus is None and e >= p:
+            q, d = divmod(e, p)
+            return (self**q).compose_power(p) * self**d
         reduce = (lambda a: a) if modulus is None else (lambda a: a % modulus)
         result, base = reduce(Poly.one(self.field)), reduce(self)
         while e:

@@ -3,11 +3,13 @@
 A TruncSeries stores exactly T coefficients (orders 0..T-1) over Q or F_p,
 each canonical (see `fields`).  The public constructor coerces its input,
 so sums run on Python's `+ - *`; results that are canonical by construction
-(`convolve`'s products, slices, scatters, and `div_poly`, whose recurrence
-coerces each term it reads back) go through the private `_canonical`
+(`convolve`'s products, slices, scatters, `div_poly`, whose recurrence
+coerces each term it reads back, and `/`) go through the private `_canonical`
 constructor.  Arithmetic between two series truncates to the shorter
 operand; the library never extends a series silently.  Equality is always
 "to order T" and the comparison helpers make the certified order explicit.
+A series divides a series (`/`) by Newton's iteration on `convolve`;
+`div_poly` keeps the O(T * deg) recurrence for short polynomial divisors.
 
 Includes the section/Cartier operator family: cartier(f, p, r) extracts the
 coefficients of index r mod p, compose_power substitutes z -> z^(p^k), and
@@ -15,6 +17,7 @@ delta applies the Euler operator z d/dz.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import NotPLocal, NotSeriesExpandable
 from .fields import QQ, PrimeField, reduce_rat_mod_p
@@ -127,17 +130,25 @@ class TruncSeries:
         f = self.field
         if not p[0]:
             raise ZeroDivisionError("divisor constant term is zero")
-        inv0 = f.inv(p.coeffs[0])
-        T = len(self.coeffs)
-        out = []
-        for m in range(T):
-            acc = self.coeffs[m]
-            for j in range(1, min(len(p.coeffs), m + 1)):
-                pj = p.coeffs[j]
-                if pj:
-                    acc -= pj * out[m - j]
-            out.append(f.coerce(inv0 * acc))
+        inv0, tail, out = f.inv(p.coeffs[0]), p.coeffs[1:], []
+        for c in self.coeffs:
+            out.append(f.coerce(inv0 * (c - sum(map(mul, tail, reversed(out))))))
         return TruncSeries._canonical(f, out)
+
+    def __truediv__(self, other):
+        """Divide by a series with unit constant term, to the shorter order T.
+
+        Newton's iteration g <- g(2 - other g) doubles the known terms of 1/other
+        a pass (von zur Gathen-Gerhard, Modern Computer Algebra, 9.1), two
+        `convolve` calls each, where `div_poly` takes O(T * deg).
+        """
+        self._check(other)
+        f, T, b = self.field, min(len(self.coeffs), len(other.coeffs)), other.coeffs
+        g = [f.inv(b[0])] if T else []  # ZeroDivisionError on a zero constant term
+        while len(g) < T:  # b g = 1 + z^k e mod z^n with k known terms, so g - z^k g e has n
+            k, n = len(g), min(2 * len(g), T)
+            g += [f.coerce(-c) for c in convolve(f, g, convolve(f, b, g, n)[k:], n - k)]
+        return TruncSeries._canonical(f, convolve(f, self.coeffs, g, T))
 
     # -- section operators -------------------------------------------------
 
@@ -222,11 +233,11 @@ def reduce_series_mod_p(f, p):
     """
     if f.field != QQ:
         raise TypeError("input must be a series over Q")
-    out = []
-    for i, c in enumerate(f.coeffs):
-        if c.denominator % p == 0:
-            raise NotPLocal(p, value=c, index=i)
-        out.append(reduce_rat_mod_p(c, p))
+    try:
+        out = [reduce_rat_mod_p(c, p) for c in f.coeffs]
+    except NotPLocal:  # the index is looked up only on failure
+        i = next(i for i, c in enumerate(f.coeffs) if c.denominator % p == 0)
+        raise NotPLocal(p, value=f.coeffs[i], index=i) from None
     return TruncSeries._canonical(PrimeField(p), out)
 
 

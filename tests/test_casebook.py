@@ -106,6 +106,27 @@ def test_case_apery_lucas():
     assert res.passed
 
 
+def test_apery_lucas_expands_apery_over_q_once(monkeypatch, capsys):
+    """p_lucas_check reduces one kept expansion at every prime: one `_generate` call for three primes."""
+    from lucascert import catalog
+    from lucascert.cli import main
+
+    calls = []
+    generate = catalog._generate
+    monkeypatch.setattr(catalog, "_generate", lambda g, T: calls.append((g.name, T)) or generate(g, T))
+    checks = []
+    p_lucas_check = casebook.p_lucas_check
+    monkeypatch.setattr(casebook, "p_lucas_check", lambda g, p, M: checks.append(p) or p_lucas_check(g, p, M))
+    casebook._series_over_q.cache_clear()
+    try:
+        assert main(["casebook", "apery-lucas", "--primes", "3,5,7"]) == 0
+    finally:  # leave no series expanded through the counting wrapper behind
+        casebook._series_over_q.cache_clear()
+    capsys.readouterr()
+    assert calls == [("apery", 501)]
+    assert checks == [3, 5, 7]
+
+
 def test_batch_report_nine_rows():
     results = batch_report([3, 5, 7], ["210", "26", "apery-lucas"])
     assert len(results) == 9

@@ -298,6 +298,20 @@ def test_p_lucas_equivalent_to_truncation_identity():
         assert ok == identity, (name, p)
 
 
+@pytest.mark.parametrize("name", sorted(CAT))
+def test_p_lucas_on_a_kept_series_matches_the_entry(name):
+    """A caller's kept Q series, as long as needed or longer, gives the entry's own result."""
+    for p, M in ((3, 60), (5, 44), (7, 50)):
+        want = p_lucas_check(CAT[name], p, M)
+        assert p_lucas_check(series_over_q(CAT[name], M + 1), p, M) == want, (name, p)
+        assert p_lucas_check(series_over_q(CAT[name], M + 9), p, M) == want, (name, p)
+
+
+def test_p_lucas_refuses_a_short_series():
+    with pytest.raises(ValueError, match="needs 101 terms, the series has 100"):
+        p_lucas_check(series_over_q(CAT["apery"], 100), 5, 100)
+
+
 def test_p_lucas_requires_p_local():
     # delta - z annihilates exp(z): a(m) = 1/m! is not 3-local at m = 3
     entry_json = [

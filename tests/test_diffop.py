@@ -21,6 +21,7 @@ from lucascert import (
     NotSeriesExpandable,
     Poly,
     RatFun,
+    TruncSeries,
     assemble_certificate,
     companion,
     default_catalog,
@@ -109,6 +110,71 @@ def test_roundtrip_preserves_annihilation():
         L = entry.operator
         assert to_delta(L).apply(f).is_zero(), name
         assert to_d(to_delta(L)).apply(f).is_zero(), name
+
+
+def apply_by_series(L, f):
+    """L(f) as sum_k P_k delta^k f, P_k the delta-form numerators, by series products and delta."""
+    out = TruncSeries.zero(f.field, len(f))
+    for pk in reversed(to_delta(L).nums):
+        out = out + f.mul_poly(pk)
+        f = f.delta()
+    return out
+
+
+def _apply_cases():
+    """(label, L, f): catalog operators on their series, exact and perturbed, and random operators."""
+    cases = []
+    for name in ("g1", "g2", "g3", "f2", "f3", "apery"):
+        terms = __import__("lucascert").gen_terms(CAT[name], 60)
+        cases.append((f"{name} kills its series", CAT[name].operator, q_series(terms)))
+        terms[7] += Fraction(1, 3)
+        cases.append((f"{name} on a changed term", CAT[name].operator, q_series(terms)))
+    for r in (2, 3):
+        f = q_series(__import__("lucascert").gen_terms(CAT[f"f{r}"], 60))
+        cases.append((f"L_{r} over Q with rational coefficients", hypergeometric_fr_operator(r), f))
+    rng = random.Random(23)
+    for k in range(24):
+        field = QQ if k % 3 == 0 else GF(rng.choice([2, 3, 7, 101]))
+        basis = rng.choice(["d", "delta"])
+        if field == QQ:
+            draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        else:
+            draw = lambda: rng.randrange(field.p)
+        coeffs = [RatFun(Poly(field, [draw() for _ in range(rng.randint(1, 4))]),
+                         Poly(field, [1] + [draw() for _ in range(rng.randint(0, 2))]))
+                  for _ in range(rng.randint(1, 4))]
+        if coeffs[0].is_zero():
+            coeffs[0] = RatFun.one(field)
+        f = TruncSeries(field, [draw() for _ in range(rng.randint(1, 40))])
+        cases.append((f"random {k} over {field!r}, {basis} basis", DiffOp(field, basis, coeffs), f))
+    return cases
+
+
+@pytest.mark.parametrize("label, L, f", [pytest.param(*c, id=c[0]) for c in _apply_cases()])
+def test_apply_matches_series_route(label, L, f):
+    """The integer residual against the series route, coefficient by coefficient, zero or not."""
+    got = L.apply(f)
+    assert got.field == f.field and len(got) == len(f)
+    assert got.coeffs == apply_by_series(L, f).coeffs
+    assert all(type(c) is (Fraction if f.field == QQ else int) for c in got.coeffs)
+    if "kills" in label or label.startswith("L_"):
+        assert got.is_zero()
+    if "changed term" in label:
+        assert not got.is_zero()
+
+
+def test_apply_on_non_mom_operators_and_mismatched_fields():
+    # z d + 1 and delta^2 + 3 delta + 1 - z: no recurrence_from, but apply needs none
+    f = q_series([1, Fraction(1, 2), Fraction(-2, 3), 5])
+    for L in (diffop_from_polys(QQ, "d", [[1], [0, 1]]), diffop_from_polys(QQ, "delta", [[1, -1], [3], [1]])):
+        with pytest.raises(NotMomAtZero):
+            recurrence_from(L)
+        assert L.apply(f).coeffs == apply_by_series(L, f).coeffs
+    # delta - z on exp(z) = sum z^n / n!: zero, term by term
+    exp_z = q_series([Fraction(1, math.factorial(n)) for n in range(30)])
+    assert diffop_from_polys(QQ, "delta", [[0, -1], [1]]).apply(exp_z).is_zero()
+    with pytest.raises(TypeError):
+        L_2F1.apply(TruncSeries(GF(5), [1, 2, 3]))
 
 
 # -- singularities ----------------------------------------------------------------

@@ -119,6 +119,41 @@ def test_power_matches_repeated_multiplication():
             prod = prod * a
 
 
+def square_and_multiply(a, e, m=None):
+    """a^e by binary powering, reduced mod m after every product when m is given."""
+    reduce = (lambda b: b) if m is None else (lambda b: b % m)
+    result, base = reduce(Poly.one(a.field)), reduce(a)
+    while e:
+        if e & 1:
+            result = reduce(result * base)
+        base = reduce(base * base) if e > 1 else base
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_frobenius_power_matches_square_and_multiply(p):
+    """P^e by base-p digits and P^p = P(z^p) against binary powering; pow(P, e, m) keeps binary powering."""
+    rng, F = random.Random(p), GF(p)
+    mixed = [p * p + 2 * p + 1, 2 * p * p + p - 1, rng.randrange(p, 3 * p * p)]
+    for e in [0, 1, p - 1, p, p + 1, p * p, p * p - 1, *mixed]:
+        for a in [rand_poly(rng, F, 4), to_poly(F, [1, 1]), to_poly(F, [0, 0, 1]), Poly.one(F), Poly.zero(F)]:
+            assert a**e == square_and_multiply(a, e), (a, e)
+            m = rand_poly(rng, F, 3)
+            if not m.is_zero():
+                assert pow(a, e, m) == square_and_multiply(a, e, m), (a, e, m)
+
+
+def test_frobenius_power_substitutes_for_the_base_p_digits(monkeypatch):
+    """Over F_p, P^(p^2) is two substitutions z -> z^p and no product of two nonconstant polynomials."""
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append((a.degree(), b.degree())) or mul(a, b))
+    a = to_poly(GF(7), [3, 1, 4, 1])
+    assert a ** 49 == a.compose_power(49)
+    assert all(min(degrees) <= 0 for degrees in calls)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=repr)
 def test_pow_with_modulus_matches_power_then_remainder(field):
     rng = random.Random(31)

@@ -156,6 +156,57 @@ def test_inverse():
     assert g.eq_to_order(TruncSeries.one(F, 40))
 
 
+# series lengths for `/`: the short ones, every 2^k - 1, 2^k and 2^k + 1 up to 300, and 300
+DIV_LENGTHS = sorted({*range(1, 8), *(2**k + d for k in range(3, 9) for d in (-1, 0, 1)), 300})
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(31), GF(2**31 - 1), QQ], ids=repr)
+def test_series_division_matches_div_poly(field):
+    """Newton's division against the recurrence of `div_poly` by the divisor's polynomial."""
+    rng = random.Random(41)
+    if field == QQ:
+        draw = lambda: Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 7]))
+        unit = lambda: rng.choice([1, -2, Fraction(2, 3)])
+    else:
+        draw, unit = (lambda: rng.randrange(field.p)), (lambda: rng.randrange(1, field.p))
+    for T in DIV_LENGTHS:
+        a = TruncSeries(field, [draw() for _ in range(T)])
+        b = TruncSeries(field, [unit()] + [draw() for _ in range(T - 1)])
+        got = a / b
+        assert got.field == field and len(got) == T
+        assert got.coeffs == a.div_poly(b.poly()).coeffs, T
+        assert all(type(c) is (Fraction if field == QQ else int) for c in got.coeffs)
+
+
+def test_series_division_truncates_to_the_shorter_and_checks_its_operands():
+    F = GF(5)
+    a, b = TruncSeries(F, [1, 2, 3, 4, 0, 1]), TruncSeries(F, [2, 1, 4])
+    assert a / b == a.truncate(3).div_poly(b.poly())
+    assert (b / a) * a.truncate(3) == b
+    with pytest.raises(ZeroDivisionError):
+        a / TruncSeries(F, [0, 1, 1])
+    with pytest.raises(ZeroDivisionError):
+        q_series([1, 2]) / q_series([0, 3])
+    with pytest.raises(TypeError):
+        a / TruncSeries(GF(7), [1, 1])
+    with pytest.raises(TypeError):
+        q_series([1, 2]) / TruncSeries(F, [1, 1])
+    assert len(TruncSeries(F, []) / b) == 0
+
+
+def test_reduce_series_reduces_each_coefficient_once(monkeypatch):
+    """One `reduce_rat_mod_p` call a coefficient, and on failure the index of the first non-p-local one."""
+    calls = []
+    reduce_rat = series.reduce_rat_mod_p
+    monkeypatch.setattr(series, "reduce_rat_mod_p", lambda c, p: calls.append(c) or reduce_rat(c, p))
+    f = q_series([Fraction(n + 1, 2 * n + 1) for n in range(40)])
+    assert reduce_series_mod_p(f, 101).coeffs == tuple((n + 1) * pow(2 * n + 1, -1, 101) % 101 for n in range(40))
+    assert len(calls) == 40
+    with pytest.raises(NotPLocal) as err:
+        reduce_series_mod_p(f, 7)  # 2n + 1 = 7 at n = 3, then at n = 10, 17, ...
+    assert (err.value.index, err.value.value) == (3, Fraction(4, 7))
+
+
 def test_powers():
     f = TruncSeries(GF(5), [1, 2, 3])
     assert f**0 == TruncSeries.one(GF(5), 3)
