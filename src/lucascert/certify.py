@@ -5,7 +5,8 @@ operator of order n with at most r finite singular points:
 
   1. split: f|_p(z) = P(z) c(z^p) with deg P <= p*d - 1, d the recurrence
      span (two independent construction routes: section-ratio rational
-     reconstruction, and the kernel/gap elimination argument);
+     reconstruction from the first 2dp terms of f, with P by one product, and
+     the kernel/gap elimination argument); either route's P is checked once;
   2. one step: f|_p = A * (Lambda_p f|_p)^p with A = P / Lambda_p(P)(z^p),
      height(A) <= n*r*p - 1;
   3. iteration: Lambda_p^i f|_p = A_{i,m} * (Lambda_p^(i+m) f|_p)^(p^m),
@@ -53,8 +54,8 @@ from .errors import (
 from .fields import QQ, PrimeField, is_prime
 from .linalg import kernel_basis
 from .poly import Poly, content
-from .ratfun import RatFun, common_denominator
-from .series import TruncSeries, ratfun_series, section_decomposition
+from .ratfun import RatFun
+from .series import TruncSeries, ratfun_series
 
 L_BOUND = "L_bound"
 L2_BOUND = "L2_bound"
@@ -128,15 +129,14 @@ class FrobShadow:
 
 
 def split_pade(f_p, d, p):
-    """Split via rational reconstruction of the section ratios.
+    """Split via rational reconstruction of the section ratios, read from the first 2dp terms of f.
 
-    Each section cartier(f, p, r) equals P_r(z) c(z) where
-    P = sum_r z^r P_r(z^p) with deg P_r <= d - 1, so the ratio of section r
-    to section 0 is the rational function P_r / P_0.  The P_r are recovered
-    by rational reconstruction (pade_ratio) and put over their least common
-    denominator, then P is normalized to P(0) = 1 and the split is verified
-    as f = P(z) c(z^p).  A section relation that fails at its index j is
-    reported at index j*p + r of f.
+    Section r of f = P(z) c(z^p), with P = sum_r z^r P_r(z^p) and deg P_r <= d - 1, is P_r c, so
+    the ratio of sections r and 0 is P_r / P_0.  Two such ratios that agree to order 2d - 1 are
+    equal (Pade uniqueness), so pade_ratio reads each from the first 2d terms of its section.  With
+    D the lcm of their denominators (D(0) != 0), P = f(z) (D / Lambda_p f)(z^p) mod z^(pd) by one
+    product, and _finish_split, the one check, verifies the split to the order of f.  No relation
+    in the prefix, or deg D > d - 1, is reported at the last index of f that was read.
     """
     field = f_p.field
     if not isinstance(field, PrimeField) or field.p != p:
@@ -145,30 +145,24 @@ def split_pade(f_p, d, p):
         raise ValueError("recurrence span must be >= 1")
     if not f_p[0]:
         raise ReconstructionFailed("split requires f(0) != 0")
-    sections = section_decomposition(f_p, p)
-    s0 = sections[0]
-    if len(s0) < 2 * d:
-        raise ReconstructionFailed(
-            f"need at least {(2 * d - 1) * p + 1} series coefficients for span {d}"
-        )
-    ratios = []
+    if len(f_p) < (2 * d - 1) * p + 1:
+        raise ReconstructionFailed(f"need at least {(2 * d - 1) * p + 1} series coefficients for span {d}")
+    head = f_p.truncate(min(len(f_p), 2 * d * p))
+    s0, D = head.cartier(p, 0), Poly.one(field)
     for r in range(1, p):
+        s = head.cartier(p, r)
         try:
-            ratios.append(pade_ratio(sections[r], s0, d - 1))
+            v = pade_ratio(s, s0, d - 1)[1]
         except ReconstructionFailed as exc:
-            if exc.index is None:
-                raise
-            m = exc.index * p + r
-            raise ReconstructionFailed(f"section {r} relation fails at index {m} of f", index=m) from exc
-    common, nums = common_denominator(field, ratios)
-    if common.degree() > d - 1:
-        raise ReconstructionFailed("section denominators exceed the span bound")
-    parts = [common, *nums]
-    if any(q.degree() > d - 1 for q in parts):
-        raise ReconstructionFailed("section numerators exceed the span bound")
-    P = Poly.zero(field)
-    for r, q in enumerate(parts):
-        P = P + q.compose_power(p).shift(r)
+            m = (len(s) - 1) * p + r
+            raise ReconstructionFailed(f"section {r} has no relation up to index {m} of f", index=m) from exc
+        if v.degree() > 0:
+            D = D.lcm(v)
+    if D.degree() > d - 1:
+        m = len(head) - 1
+        raise ReconstructionFailed(f"section denominators exceed the span bound up to index {m} of f", index=m)
+    q = TruncSeries.from_poly(D, d) / s0.truncate(d)
+    P = (f_p.truncate(p * d) * q.compose_power(p, 1, out_len=p * d)).poly()
     return _finish_split(f_p, P, d, p, normalize=True)
 
 
@@ -266,23 +260,14 @@ def split_elimination(f_p, d, p, normalize=True):
     need = p * (d + 1) + p * d
     if len(f_p) < need:
         raise ReconstructionFailed(f"need {need} coefficients, have {len(f_p)}")
-    windows = []
-    for i in range(d + 1):
-        windows.append([f_p[i * p + t] for t in range(d)])
+    windows = [f_p.coeffs[i * p : i * p + d] for i in range(d + 1)]
     # u = sum_i beta_i z^(ip) kills the window when sum_i beta_i v_{d-i} = 0
     rows = [[windows[d - i][t] for i in range(d + 1)] for t in range(d)]
     basis = kernel_basis(field, rows, d + 1)
     if not basis:
         raise ReconstructionFailed("window vectors are linearly independent")
-    beta = basis[0]
-    for cand in basis:
-        if cand[0]:  # prefer u(0) != 0 so that P(0) != 0
-            beta = cand
-            break
-    u = Poly.zero(field)
-    for i, b in enumerate(beta):
-        if b:
-            u = u + Poly.constant(field, b).shift(i * p)
+    beta = next((cand for cand in basis if cand[0]), basis[0])  # prefer u(0) != 0 so that P(0) != 0
+    u = Poly(field, beta).compose_power(p)
     g = f_p.mul_poly(u)
     gap = [g[m] for m in range(p * d, min(p * (d + 1), len(g)))]
     if any(gap):
@@ -294,7 +279,7 @@ def split_elimination(f_p, d, p, normalize=True):
 
 
 def _finish_split(f_p, P, d, p, normalize):
-    """Normalize P and verify the split f = P(z) c(z^p) to the order of f.
+    """Normalize P and verify the split f = P(z) c(z^p) to the order of f: either route's one check.
 
     With P = z^v P_hat, p | v and P_hat(0) != 0, f / P_hat is a series in z^p
     iff f = P_hat c(z^p) with c = Lambda_p(f) / Lambda_p(P_hat): a division of

@@ -50,7 +50,9 @@ class ReconstructionFailed(LucascertError):
     """No rational/polynomial relation of the requested degree exists."""
 
     def __init__(self, message, index=None):
-        self.index = index  # first coefficient index at which the relation fails, when known
+        # first coefficient index at which the relation fails, when known; a split with no section
+        # relation or too large a denominator in the prefix it reads names the last index read
+        self.index = index
         super().__init__(message)
 
 

@@ -4,7 +4,7 @@ Normal form: gcd(num, den) = 1 with den monic, so equality of rational
 functions is structural equality of the pair.  The height is
 max(deg num, deg den), the size measure used by all certificate bounds.
 `common_denominator` puts a list of num/den pairs over one monic
-denominator, the cleared form of operators and of split sections.
+denominator, the cleared form of operators.
 """
 
 from .errors import ZeroDenominator

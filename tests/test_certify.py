@@ -214,6 +214,80 @@ def test_split_names_the_changed_coefficient():
                 assert exc.value.index >= m, (route, m, exc.value)
 
 
+def test_split_names_an_index_for_every_change_in_the_prefix():
+    # split_pade reads the first 2dp coefficients; a change at any of them must be
+    # reported with an int index at or past the change, never with index None
+    p, T = 37, 37 * 40
+    f = series_mod_p(CAT["apery"], p, T)
+    d = recurrence_from(CAT["apery"].operator).span
+    for m in range(2 * d * p):
+        cs = list(f.coeffs)
+        cs[m] = (cs[m] + 1) % p
+        with pytest.raises(ReconstructionFailed) as exc:
+            split_pade(TruncSeries(GF(p), cs), d, p)
+        assert isinstance(exc.value.index, int) and m <= exc.value.index < T, (m, exc.value)
+
+
+def test_split_pade_failures_in_the_prefix_name_the_last_index_read():
+    F, p = GF(5), 5
+    # section 2 of 1 + z^7 is (0, 1): no relation of degree 0 in its first 2 terms,
+    # which end at index (2d - 1) p + 2 = 7
+    with pytest.raises(ReconstructionFailed, match="section 2 has no relation") as exc:
+        split_pade(TruncSeries(F, [1] + [0] * 6 + [1] + [0] * 22), 1, p)
+    assert exc.value.index == 7
+    # sections 1 and 2 are 1/(1 - z) and 1/(1 - 2z) times section 0: each ratio has
+    # degree <= d - 1 = 1, but their lcm has degree 2, so no split of span 2 agrees
+    # with f up to the end of the 2dp-term prefix
+    s0 = TruncSeries(F, [1, 3, 4, 1, 2, 0, 3, 1])
+    sections = [s0, s0.div_poly(Poly(F, [1, -1])), s0.div_poly(Poly(F, [1, -2])), s0, s0]
+    f = TruncSeries(F, [sections[m % p][m // p] for m in range(8 * p)])
+    with pytest.raises(ReconstructionFailed, match="denominators exceed the span bound") as exc:
+        split_pade(f, 2, p)
+    assert exc.value.index == 2 * 2 * p - 1
+
+
+def _planted_split(rng, F, p, d):
+    """A random P with sections of degree <= d - 1, P(0) != 0 and no common factor."""
+    while True:
+        sections = [Poly(F, [rng.randrange(p) for _ in range(d)]) for _ in range(p)]
+        if sections[0][0] and reduce(Poly.gcd, sections).degree() == 0:
+            return reduce(add, (q.compose_power(p).shift(r) for r, q in enumerate(sections) if q))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 37, 101])
+def test_split_pade_recovers_planted_splits_and_names_every_failure(p):
+    rng, F = random.Random(p), GF(p)
+    for d in (1, 2, 3):
+        for T in ((2 * d - 1) * p + 1, 2 * d * p, 3 * d * p + 7):
+            P = _planted_split(rng, F, p, d)
+            c = TruncSeries(F, [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(-(-T // p) - 1)])
+            f = c.compose_power(p, 1, out_len=T).mul_poly(P)
+            assert split_pade(f, d, p).P == P.scale(F.inv(P[0])), (p, d, T)
+        T, failed = 3 * d * p + 7, 0
+        for _ in range(20):
+            f = TruncSeries(F, [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(T - 1)])
+            try:
+                w = split_pade(f, d, p)
+            except ReconstructionFailed as exc:
+                assert isinstance(exc.index, int) and 0 <= exc.index < T, (p, d, exc)
+                failed += 1
+            else:
+                assert check_split(f, w.P, p, T)  # a random series that happens to split
+        assert failed >= 15, (p, d)
+
+
+@pytest.mark.parametrize("p", [5, 37, 101])
+def test_split_pade_matches_elimination_at_span_2(p):
+    # at span 2 a split is unique only up to a factor w(z^p): split_pade returns the one
+    # with coprime sections (the p-truncation, apery being p-Lucas), and it divides
+    # the elimination route's P with a quotient in z^p
+    f = series_mod_p(CAT["apery"], p, 12 * p)
+    a, b = split_pade(f, 2, p), split_elimination(f, 2, p)
+    assert a.P == truncation("apery", p)
+    w, rem = b.P.divmod(a.P)
+    assert rem.is_zero() and w[0] == 1 and all(not c for i, c in enumerate(w.coeffs) if i % p), p
+
+
 # -- one-step certificates ---------------------------------------------------------------
 
 
