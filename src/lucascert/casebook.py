@@ -7,7 +7,7 @@ Lucas-theorem evaluation) that must agree.  Series mod p come from the Q
 expansion, never from the Lucas-digit route of `series_mod_p` whose
 congruences are checked.  Each Q series is expanded once per order for all
 primes, the Apery numbers that `p_lucas_check` reduces included; the exact
-identities over Q (L_r(f_r) = 0, the 2F1 links of f_1 and f_2) are `DiffOp.apply`.
+identities (L_r(f_r) = 0, the 2F1 links of f_1 and f_2, and mod p of their truncations) are `DiffOp.apply`.
 Rational reconstruction also runs by two routes that must agree: the
 extended Euclidean algorithm (`pade_ratio`) at the working order, and the
 dense kernel solve (`pade_kernel`) at the tight order 2h + 1 for height h.
@@ -28,7 +28,7 @@ from .catalog import (
     p_lucas_check,
     hypergeometric_fr_operator,
 )
-from .diffop import diffop_from_polys, is_mom, indicial_at_zero
+from .diffop import diffop_from_polys, is_mom, indicial_at_zero, reduce_op_mod_p
 from .certify import pade_kernel, pade_ratio
 from .errors import ReconstructionFailed, UnknownCase
 from .fields import GF, QQ
@@ -133,7 +133,7 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
       split-f1-sq:  f_2|p = P_2 * P_1^p * f_1|p(z^(p^2))
       self-power:   f_2|p * P_2^(p-1) = P_1^p * f_2|p(z^p)
       separable:  gcd(P_2, P_2') = 1
-      coprime:    P_1 = P_2 - 2z P_2' and gcd(P_1, P_2) = 1
+      coprime:    P_1 = (1 - 2 delta) P_2 and gcd(P_1, P_2) = 1
       height-B_k: height of reduced B_k = P_1^(p+...+p^(k+1)) / P_2^(p^(k+1)-1)
                   equals (p/2)(p^(k+1)-1), and f_2|p = B_k * f_2|p(z^(p^(k+1)))
                   (k limited so p^(k+1) <= power_cap)
@@ -159,10 +159,9 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
     result.add("deg-P", P1.degree() == half and P2.degree() == half,
                f"deg P_1 = {P1.degree()}, deg P_2 = {P2.degree()}")
 
-    one_m_16z_p = Poly(Fp, [1, -16])
-    delta_P1 = Poly(Fp, [i * c for i, c in enumerate(P1.coeffs)])
-    trunc_link = one_m_16z_p * (P1 + delta_P1.scale(2))
-    result.add("trunc-link", trunc_link == P2)
+    # each link's image on deg + 2 terms, which hold its top coefficient
+    S1, S2 = (TruncSeries.from_poly(P, max(P1.degree(), P2.degree()) + 2) for P in (P1, P2))
+    result.add("trunc-link", reduce_op_mod_p(_TO_F2, p).apply(S1) == S2)
 
     rhs_split = f1_p.compose_power(p, 1, out_len=T).mul_poly(P2)
     result.add("split-f1", f2_p.eq_to_order(rhs_split, T))
@@ -175,9 +174,7 @@ def case_2f1(p, kmax=2, T=500, power_cap=400):
     result.add("self-power", lhs_sp.eq_to_order(rhs_sp, T))
 
     result.add("separable", P2.gcd(P2.derivative()) == Poly.one(Fp))
-    z = Poly.x(Fp)
-    rel = P2 - (z * P2.derivative()).scale(2)
-    result.add("coprime", rel == P1 and P1.gcd(P2) == Poly.one(Fp))
+    result.add("coprime", reduce_op_mod_p(_TO_F1, p).apply(S2) == S1 and P1.gcd(P2) == Poly.one(Fp))
 
     heights = []
     for k in range(kmax + 1):
@@ -208,14 +205,15 @@ def _series_over_q(name, T):
     return TruncSeries(QQ, gen_terms(lookup(name), T))
 
 
+_TO_F2 = diffop_from_polys(QQ, "delta", [[1, -16], [2, -32]])  # (1 - 16z)(1 + 2 delta): f_1 to f_2, P_1 to P_2 mod p
+_TO_F1 = diffop_from_polys(QQ, "delta", [[1], [-2]])  # 1 - 2 delta: f_2 to f_1, P_2 to P_1 mod p
+
+
 @cache
 def _2f1_q_identities(T):
     """(label, ok) of f_2 = (1-16z)(1 + 2 delta)(f_1) and f_1 = (1 - 2 delta)(f_2) over Q to order T, for any p."""
     f1_q, f2_q = _series_over_q("f1", T), _series_over_q("f2", T)
-    to_f2 = diffop_from_polys(QQ, "delta", [[1, -16], [2, -32]])
-    to_f1 = diffop_from_polys(QQ, "delta", [[1], [-2]])
-    return (("f2-from-f1", f2_q.eq_to_order(to_f2.apply(f1_q), T)),
-            ("f1-from-f2", f1_q.eq_to_order(to_f1.apply(f2_q), T)))
+    return ("f2-from-f1", _TO_F2.apply(f1_q) == f2_q), ("f1-from-f2", _TO_F1.apply(f2_q) == f1_q)
 
 
 @cache

@@ -155,7 +155,11 @@ def _digit_products(row, p, T):
 
 
 def _central_row(p, r, T):
-    return [pow(_lucas(2 * d, d, p), r, p) for d in range(min(p, T))]  # C(2d,d)^r mod p, digits d < p
+    """C(2d,d)^r mod p for d < min(p, T), by C(2d,d) = C(2d-2,d-1) 2(2d-1)/d: 0 from 2d - 1 = p on, as by Lucas."""
+    row = [1]
+    for d in range(1, min(p, T)):
+        row.append(row[-1] * 2 * (2 * d - 1) * pow(d, -1, p) % p)
+    return [pow(c, r, p) for c in row]
 
 
 def _f_r_mod_p(g, p, T):

@@ -42,7 +42,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .catalog import series_mod_p
-from .diffop import companion, is_mom, recurrence_from, singularities, to_delta
+from .diffop import companion, diffop_from_polys, is_mom, recurrence_from, singularities, to_delta
 from .errors import (
     BadPrime,
     BudgetExceeded,
@@ -244,7 +244,8 @@ def split_elimination(f_p, d, p, normalize=True):
     a kernel combination u(z) = sum alpha_i z^(ip) makes g = u*f vanish on a
     length-d window starting at pd, the recurrence propagates the gap to
     p(d+1), and the first pd coefficients of g give the split polynomial.
-    A series with f(0) = 0 is first stripped of whole z^p blocks.
+    A series with f(0) = 0 is first stripped of whole z^p blocks.  At span 1 its normalized P is
+    split_pade's; at span >= 2 only up to a factor w(z^p), w(0) = 1, which cancels from A = P / Lambda_p(P)(z^p).
     """
     field = f_p.field
     if not isinstance(field, PrimeField) or field.p != p:
@@ -679,11 +680,10 @@ def frobenius_shadow(L, p, T, solution=None):
     F, Y = (tuple(tuple(TruncSeries(QQ, c) for c in row) for row in cs) for cs in (Fcs, Ycs))
     shadow = FrobShadow(F=F, Y=Y, p=p, T=T)
     if solution is not None:
-        residual = cartier_row_residual(shadow, solution)
-        if not residual.is_zero():
-            raise SylvesterSingular(
-                f"last-row relation fails at order {residual.first_difference(TruncSeries.zero(QQ, len(residual)))}"
-            )
+        residual = cartier_row_residual(shadow, solution).coeffs
+        if any(residual):
+            m = next(i for i, c in enumerate(residual) if c)
+            raise SylvesterSingular(f"last-row relation fails at order {m}")
     return shadow
 
 
@@ -691,26 +691,19 @@ def cartier_row_residual(shadow, f, order=None):
     """Residual of the last-row relation on the Cartier image of the solution vector.
 
     residual = sum_j F[n-1][j] * Lambda_p(delta^j f)  -  delta(Lambda_p(delta^(n-1) f)),
-    computed to `order` (default: what the shadow and f jointly determine,
-    minus one for the delta loss).
+    computed to `order` (default: what the shadow and f jointly determine, minus one for the delta
+    loss).  As Lambda_p(delta^j f) = p^j delta^j Lambda_p(f), that is one `DiffOp.apply` on Lambda_p(f):
+    sum_j p^j F[n-1][j] delta^j - p^(n-1) delta^n, its coefficients cut below `order`.
     """
-    n = len(shadow.F)
-    p = shadow.p
-    vec = []
-    g = f
-    for _ in range(n):
-        vec.append(g.cartier(p, 0))
-        g = g.delta()
-    avail = min(min(len(v) for v in vec), min(len(shadow.F[n - 1][j]) for j in range(n)))
+    n, p, row = len(shadow.F), shadow.p, shadow.F[-1]
+    g = f.cartier(p, 0)
+    avail = min(len(g), *map(len, row))
     if order is None:
         order = avail - 1
     if order > avail:
         raise ValueError(f"cannot certify to order {order}, only {avail} known")
-    acc = TruncSeries.zero(QQ, order)
-    for j in range(n):
-        acc = acc + (shadow.F[n - 1][j].truncate(order) * vec[j].truncate(order))
-    acc = acc - vec[n - 1].delta().truncate(order)
-    return acc
+    polys = [[p**j * c for c in F.coeffs[:order]] for j, F in enumerate(row)]
+    return diffop_from_polys(QQ, "delta", [*polys, [-(p ** (n - 1))]]).apply(g.truncate(order))
 
 
 def _ad_shift(Y, c):

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 input error, 2 verification failure,
 import argparse
 import json
 import sys
+from functools import cache
 
 from .casebook import batch_report, case_ids, results_to_csv
 from .catalog import default_catalog, load_catalog, lookup, gen_terms
@@ -221,6 +222,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@cache  # one parser a process: main parses every argv with it
 def build_parser():
     parser = _Parser(
         prog="lucascert",

@@ -123,7 +123,7 @@ class TruncSeries:
         """Divide by a polynomial with unit constant term, to the same order.
 
         O(T * deg p) via the linear recurrence, much cheaper than a generic
-        series inverse when the divisor is short.
+        series inverse when the divisor is short; one scaling (none by 1) for a constant.
         """
         if p.field != self.field:
             raise TypeError("series/polynomial fields do not match")
@@ -131,6 +131,8 @@ class TruncSeries:
         if not p[0]:
             raise ZeroDivisionError("divisor constant term is zero")
         inv0, tail, out = f.inv(p.coeffs[0]), p.coeffs[1:], []
+        if not tail:
+            return self if inv0 == 1 else self.scale(inv0)
         for c in self.coeffs:
             out.append(f.coerce(inv0 * (c - sum(map(mul, tail, reversed(out))))))
         return TruncSeries._canonical(f, out)

@@ -11,8 +11,8 @@ from lucascert import (
     results_to_csv,
     run_case,
 )
-from lucascert import GF, Poly, casebook
-from lucascert.catalog import cy26_mod, cy26_term
+from lucascert import GF, QQ, Poly, TruncSeries, casebook
+from lucascert.catalog import cy26_mod, cy26_term, gen_terms, lookup
 
 
 def test_case_210_small_primes():
@@ -61,6 +61,31 @@ def test_case_2f1_separability_p5():
     labels = {label: ok for label, ok, _ in res.checks}
     assert labels["separable"]
     assert labels["coprime"]
+
+
+@pytest.mark.parametrize("p", [3, 7, 31])
+@pytest.mark.parametrize("top_only", [False, True])
+def test_case_2f1_trunc_link_reads_the_top_coefficient(p, top_only, monkeypatch):
+    """P_1 moved by z^(p-1) fails the trunc-link; so does it when P_2 is its image less the top, at z^p.
+
+    The image (1 - 16z)(P_1 + 2 delta P_1) is built by polynomial products, apart from the operator route.
+    """
+    Fp, z, series = GF(p), Poly.x(GF(p)), casebook._series_over_q
+    P1 = Poly(Fp, gen_terms(lookup("f1"), p)) + z ** (p - 1)
+    image = Poly(Fp, [1, -16]) * (P1 + (z * P1.derivative()).scale(2))
+    assert image.degree() == p
+
+    def moved(name, T):
+        cs = list(series(name, T).coeffs)
+        cs[p - 1] += name == "f1"
+        if name == "f2" and top_only:
+            cs[:p] = [image[i] for i in range(p)]
+        return TruncSeries(QQ, cs)
+
+    monkeypatch.setattr(casebook, "_series_over_q", moved)
+    monkeypatch.setattr(casebook, "_2f1_q_identities", lambda T: ())  # keeps the moved series out of its cache
+    labels = {label: ok for label, ok, _ in case_2f1(p, kmax=0, T=100).checks}
+    assert not labels["trunc-link"]
 
 
 def test_case_2f1_identities_p7():

@@ -131,6 +131,16 @@ def test_cy_terms_never_use_the_lucas_route(monkeypatch):
         assert cy26_term(100, p) == cy26_direct(100) % p
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 97])
+def test_central_row_walks_the_lucas_row(p, monkeypatch):
+    """C(2d,d)^r mod p at every d < p against `_lucas`, and no `_lucas` call in the walk itself."""
+    want = {r: [pow(catalog._lucas(2 * d, d, p), r, p) for d in range(p)] for r in (1, 2, 3)}
+    monkeypatch.setattr(catalog, "_lucas", lambda *a: pytest.fail("the row called _lucas"))
+    for r in (1, 2, 3):
+        for T in (1, 2, p // 2, p, p + 5):
+            assert catalog._central_row(p, r, T) == want[r][: min(p, T)], (r, T)
+
+
 def test_all_entries_start_at_one():
     for entry in CAT.values():
         assert gen_terms(entry, 1) == [1]

@@ -10,6 +10,7 @@ from lucascert import (
     QQ,
     BadPrime,
     BudgetExceeded,
+    DiffOp,
     NoCycleFound,
     NotSeriesExpandable,
     Poly,
@@ -27,6 +28,7 @@ from lucascert import (
     diffop_from_polys,
     frobenius_shadow,
     gen_terms,
+    good_primes,
     hypergeometric_fr_operator,
     iterate_certificates,
     orbit_detect,
@@ -637,30 +639,34 @@ def test_certificate_soundness_independent_reverify():
         assert verify_certificate(back, fresh)
 
 
+def _step(P):
+    """The one-step A = P / Lambda_p(P)(z^p) of a split polynomial P over F_p."""
+    p = P.field.p
+    return RatFun(P, Poly(P.field, P.coeffs[::p]).compose_power(p))
+
+
 def test_split_consistency_across_catalog():
-    # pade and elimination splits agree up to a scalar on catalog entries
-    # (every operator-backed entry, at its good primes among {3, 5})
+    # pade and elimination splits agree on catalog entries (every operator-backed
+    # entry at its good primes among {3, 5}, and apery at 37 and 101): P itself at
+    # span 1, and at every span the step A, from which a factor w(z^p) of P cancels
     jobs = [
         (name, p)
         for name in ("g1", "g2", "g3", "f1", "f2", "f3", "apery")
         for p in (3, 5)
-        if p in __import__("lucascert").good_primes(CAT[name].operator, 5)
-    ]
+        if p in good_primes(CAT[name].operator, 5)
+    ] + [("apery", 37), ("apery", 101)]
     for name, p in jobs:
         entry = CAT[name]
-        from lucascert import recurrence_from
-
         span = recurrence_from(entry.operator).span
         f = series_mod_p(entry, p, 260 * (2 if span > 1 else 1))
         a = split_pade(f, span, p)
         b = split_elimination(f, span, p)
-        field = f.field
-        # both are normalized to value 1 at 0 so the scalar is 1; check the
-        # scalar-agreement contract on the unnormalized route too
-        assert a.P == b.P, (name, p)
+        if span == 1:
+            assert a.P == b.P, (name, p)
+        assert _step(a.P) == _step(b.P), (name, p)
+        # both are normalized to value 1 at 0; unnormalized, the route keeps a scalar
         raw = split_elimination(f, span, p, normalize=False)
-        c0 = raw.P.eval(field.zero)
-        assert raw.P == a.P.scale(c0), (name, p)
+        assert raw.P == b.P.scale(raw.P.eval(f.field.zero)), (name, p)
 
 
 # -- evidence classification -------------------------------------------------------------------
@@ -763,6 +769,50 @@ def test_shadow_residual_check_reads_the_last_row_of_f(monkeypatch):
     f = series_over_q(CAT["apery"], T)
     with pytest.raises(SylvesterSingular, match="last-row relation fails at order 2$"):
         frobenius_shadow(CAT["apery"].operator, 5, T, solution=f)
+
+
+def _residual_by_series(shadow, f, order=None):
+    """The last-row residual by series: F's last row times the Cartier images of f, delta f, ...,
+    delta^(n-1) f, less delta of the last image."""
+    n, p = len(shadow.F), shadow.p
+    vec, g = [], f
+    for _ in range(n):
+        vec.append(g.cartier(p, 0))
+        g = g.delta()
+    avail = min(min(len(v) for v in vec), min(len(F) for F in shadow.F[n - 1]))
+    if order is None:
+        order = avail - 1
+    acc = TruncSeries.zero(QQ, order)
+    for j in range(n):
+        acc = acc + shadow.F[n - 1][j].truncate(order) * vec[j].truncate(order)
+    return acc - vec[n - 1].delta().truncate(order)
+
+
+@pytest.mark.parametrize("T", [243, 400, 500])
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("name", ["f2", "f3", "g2", "apery"])
+def test_residual_operator_matches_the_series_route(name, p, T):
+    """One operator on Lambda_p f equals the series route, on f and on f changed at index 2p, where it is nonzero."""
+    f = series_over_q(CAT[name], T)
+    sh = frobenius_shadow(CAT[name].operator, p, T)
+    bad = TruncSeries(QQ, [c + (i == 2 * p) for i, c in enumerate(f.coeffs)])
+    for g in (f, bad):
+        for order in (None, 5, len(g.cartier(p, 0)) - 2):
+            got = cartier_row_residual(sh, g, order)
+            assert got == _residual_by_series(sh, g, order), (order, g is bad)
+            assert got.is_zero() == (g is f)
+
+
+def test_residual_is_one_apply_and_no_series_arithmetic(monkeypatch):
+    T, p = 120, 5
+    f = series_over_q(CAT["apery"], T)
+    sh = frobenius_shadow(CAT["apery"].operator, p, T)
+    calls, apply = [], DiffOp.apply
+    for name in ("delta", "__add__", "__sub__", "__mul__"):
+        monkeypatch.setattr(TruncSeries, name, lambda *a, name=name: pytest.fail(f"TruncSeries.{name}"))
+    monkeypatch.setattr(DiffOp, "apply", lambda L, g: calls.append(len(g)) or apply(L, g))
+    assert cartier_row_residual(sh, f).is_zero()
+    assert calls == [len(f.cartier(p, 0)) - 1]
 
 
 def test_shadow_y_constant_term_identity():

@@ -477,6 +477,13 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     }
 
 
+def test_parser_is_built_once_and_reused_across_argvs(capsys):
+    assert build_parser() is build_parser()
+    assert main(["casebook", "2f1", "--primes", "abc"]) == 1
+    assert main(["casebook", "210", "--primes", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("case_id,p,check_label,pass,detail")
+
+
 def test_opinfo_bound_over_budget_is_input_error(f2_op_path, capsys):
     assert main(["opinfo", f2_op_path, "--bound", "100000000"]) == 1
     err = capsys.readouterr().err

@@ -178,6 +178,28 @@ def test_series_division_matches_div_poly(field):
         assert all(type(c) is (Fraction if field == QQ else int) for c in got.coeffs)
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(101), QQ], ids=repr)
+def test_div_poly_by_a_constant_is_the_recurrence(field):
+    """A constant divisor 1, 2 or -1 (p - 1 mod p) against the recurrence, 1 returning the series itself.
+
+    The recurrence runs on c + z^(T+1), whose tail lies past the order T of the series.
+    """
+    rng = random.Random(53)
+    a = TruncSeries(field, [Fraction(rng.randrange(-50, 50), rng.choice([1, 3])) for _ in range(40)])
+    for c in (1, 2, -1):
+        P = Poly(field, [c])
+        if not P:  # 2 over GF(2)
+            with pytest.raises(ZeroDivisionError):
+                a.div_poly(P)
+            continue
+        got = a.div_poly(P)
+        assert got == a.div_poly(P + Poly.x(field) ** (len(a) + 1)) and got.scale(c) == a
+        assert all(type(v) is (Fraction if field == QQ else int) for v in got.coeffs)
+    assert a.div_poly(Poly.one(field)) is a
+    with pytest.raises(ZeroDivisionError):
+        a.div_poly(Poly.zero(field))
+
+
 def test_series_division_truncates_to_the_shorter_and_checks_its_operands():
     F = GF(5)
     a, b = TruncSeries(F, [1, 2, 3, 4, 0, 1]), TruncSeries(F, [2, 1, 4])
