@@ -136,6 +136,7 @@ def series_over_q(g, T):
 
 def series_mod_p(g, p, T):
     """f|_p to order T: by Lucas digits for binomial kinds (see _digit_products), else from Q (T <= MAX_Q_T)."""
+    field = PrimeField(p)  # rejects a non-prime p before any route
     route = _MOD_P_ROUTES.get(g.kind)
     if route is None:
         if T > MAX_Q_T:
@@ -143,7 +144,7 @@ def series_mod_p(g, p, T):
         return reduce_series_mod_p(series_over_q(g, T), p)
     if T < 1:
         raise ValueError("T must be >= 1")
-    return TruncSeries._canonical(PrimeField(p), route(g, p, T))  # PrimeField rejects a non-prime p first
+    return TruncSeries._canonical(field, route(g, p, T))
 
 
 def _digit_products(row, p, T):

@@ -27,21 +27,21 @@ equality of iterates, and the assembled identity by one final pass
 Every height bound is a hard error.
 
 A companion construction computes, entirely over Q, the uniform part Y of the
-delta-companion system, whose G(0) is the shift J for a MOM operator, and the
-weak Frobenius matrix F = [delta(Lambda_p Y) + (1/p) Lambda_p(Y) J] (Lambda_p Y)^(-1)
-by the coefficient recurrence of
-F Lambda_p(Y) = delta(Lambda_p Y) + (1/p) Lambda_p(Y) J, with no series
-inverse.  The last row of F annihilates the Cartier image of the solution
-vector.
+delta-companion system, whose G(0) is the shift J for a MOM operator, by the
+Frobenius method on the operator's own recurrence, and the weak Frobenius matrix
+F = [delta(Lambda_p Y) + (1/p) Lambda_p(Y) J] (Lambda_p Y)^(-1): J/p but for its
+last row, which one coefficient recurrence gives with no series inverse.  That
+last row annihilates the Cartier image of the solution vector.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .catalog import series_mod_p
+from .diffop import _cleared, _horner, _index_polys
 from .diffop import companion, diffop_from_polys, is_mom, recurrence_from, singularities, to_delta
 from .errors import (
     BadPrime,
@@ -53,7 +53,7 @@ from .errors import (
 )
 from .fields import QQ, PrimeField, is_prime
 from .linalg import kernel_basis
-from .poly import Poly, content
+from .poly import Poly
 from .ratfun import RatFun
 from .series import TruncSeries, ratfun_series
 
@@ -605,30 +605,34 @@ def frobenius_shadow(L, p, T, solution=None):
 
     The delta-companion G = M/den is the shift J (ones on the superdiagonal)
     plus a last row, which a MOM-at-zero operator has zero at 0: G(0) = J.
-    Y (Y(0) = I) solves delta Y = G Y - Y J by the coefficient recurrence of
-    den delta Y = M Y - den Y J, in which Y_m needs only the s previous terms
-    (s the degree span of den and M) and the triangular Sylvester step
-    (m - ad_J) Y_m = R, solved entry by entry from the last row up.  With
-    LY = Lambda_p Y (LY(0) = I), the weak Frobenius matrix
+    Y (Y(0) = I) solves delta Y = G Y - Y J, and Y z^J is the Frobenius log-basis
+    of L = sum_j z^(v+j) q_j(delta), q_0 = c x^n.  Row 0 of Y_m is a_m(eps) mod eps^n
+    by the Frobenius method (Ince, Ordinary Differential Equations, 1926): a_0 = 1,
+    sum_j q_j(m - j + eps) a_(m-j) = 0, so a_m = -R W_m / (c m^(2n-1)) with
+    R = sum_{j>=1} q_j(m - j + eps) a_(m-j) (q_j(x + eps) by Taylor polynomials) and
+    W_m = m^(2n-1) (m + eps)^(-n), an integer polynomial.  Row i + 1 of Y is
+    delta(row i) + (row i) J: at z^m, m (row i) plus row i moved one column right.
+    With LY = Lambda_p Y (LY(0) = I), the weak Frobenius matrix
 
         F = [delta(LY) + (1/p) LY J] LY^(-1)
 
-    needs no inverse: F LY = delta(LY) + (1/p) LY J gives, coefficientwise,
+    needs no inverse.  As Lambda_p delta = p delta Lambda_p, row i + 1 of LY is
+    p delta(row i) + (row i) J, so F's first n - 1 rows are those of J/p, and its last
+    row f solves f LY = delta(y) + (1/p) y J, y the last row of LY:
 
-        F_m = m LY_m + (1/p) LY_m J - sum_{k<m} F_k LY_{m-k}.
+        f_m = m y_m + (1/p) y_m J - sum_{k<m} f_k LY_(m-k).
 
-    Both loops run on integer numerator matrices, each over one denominator > 0
-    and cut by one gcd, with den and M's last row cleared by their content.  The
-    Sylvester step is solved on m^(2n-1) R, so its divisions by m are exact:
-    entry (i, j) of Y_m is (n-1-i) + j + 1 <= 2n - 1 of them deep.
+    Both run on integers over one denominator > 0 per m, cut by one gcd (Y_m's rows
+    are integer combinations of its row 0, so that row's gcd serves).
 
-    Checks p F(0) = G(0) exactly.  When the distinguished series solution f
-    (f(0) = 1) is supplied, the construction additionally verifies that the
-    last row of F annihilates
+    Raises BadPrime for a p that is not prime.  Checks p F(0) = G(0) exactly; given the
+    series solution f (f(0) = 1), also that the last row of F annihilates
     (Lambda_p f, Lambda_p delta f, ..., delta(Lambda_p delta^(n-1) f)).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    if not is_prime(p):
+        raise BadPrime(f"{p} is not prime")
     Ld = to_delta(L)
     if Ld.field != QQ:
         raise TypeError("the Frobenius shadow is computed over Q")
@@ -638,42 +642,49 @@ def frobenius_shadow(L, p, T, solution=None):
     if any(ratfun_series(RatFun(m, den), 1)[0] for m in M[n - 1]):
         raise SylvesterSingular("operator is not MOM at zero: G(0) has a nonzero last row")
 
-    # M = den J + e_n last (its last row); with the common power of z divided out, the
-    # coefficient of z^m in den delta Y = M Y - den Y J is
-    # den_0 (m - ad_J) Y_m = sum_{i=1..s} e_n last_i Y_{m-i} - den_i (m - i - ad_J) Y_{m-i}
-    polys = (den, *M[n - 1])
-    v = min(P.valuation() for P in polys if P)
-    s = max(P.degree() for P in polys) - v
-    cont = content(polys)
-    rows = [[int(P[i + v] / cont) for P in polys] for i in range(s + 1)]  # (den_i, *last_i) over Z
-    Ycs, Fcs = ([[[] for _ in range(n)] for _ in range(n)] for _ in range(2))
-    Ym = _reduced([[int(i == j) for j in range(n)] for i in range(n)], 1, Ycs)
-    window, LY = deque([Ym], maxlen=s), [Ym]  # window[i - 1] = Y_(m-i), as (numerators, denominator)
-    for m in range(1, T):
-        e = lcm(*(d for _, d in window))  # R's denominator
-        R = [[0] * n for _ in range(n)]
-        for i, (Yk, d) in enumerate(window, start=1):
-            c, (di, *last) = e // d, rows[i]
-            if di:
-                R = [[r - c * di * a for r, a in zip(*rs)] for rs in zip(R, _ad_shift(Yk, m - i))]
-            R[-1] = [r + c * sum(map(mul, last, col)) for r, col in zip(R[-1], zip(*Yk))]
-        Ym = _reduced(_ad_shift_solve(R, m), m ** (2 * n - 1) * rows[0][0] * e, Ycs)
-        window.appendleft(Ym)
+    # G(0) = J makes q_0 = c x^n once the common power z^v is divided out
+    v = min(P.valuation() for P in Ld.nums if P)
+    _, (q0, *Q) = _cleared([P.coeffs for P in _index_polys(Ld)[v:]])
+    c = q0[n]
+    taylor = [[[comb(k, i) * q[k] for k in range(i, len(q))] for i in range(n)] for q in Q]  # q_j(x + eps)
+    W = [(-1) ** i * comb(n + i - 1, i) for i in range(n)]  # W_m = sum_i W[i] m^(n-1-i) eps^i
+    Ycs = [[[] for _ in range(n)] for _ in range(n)]
+    window, LY = deque(maxlen=len(Q)), []  # window[j - 1] = row 0 of Y_(m-j), as (numerators, denominator)
+    for m in range(T):
+        a, d = [int(j == 0) for j in range(n)], 1  # a_0 = 1
+        if m:
+            e, R = lcm(*(d for _, d in window)), [0] * n  # R holds e times the sum, e its denominator
+            for j, ((b, db), Tj) in enumerate(zip(window, taylor), start=1):  # b / db = a_(m-j)
+                for i, t in enumerate(Tj):
+                    t = e // db * _horner(t, m - j)
+                    for k in range(n - i):
+                        R[i + k] += t * b[k]
+            row = [-sum(R[i] * W[k - i] * m ** (n - 1 - k + i) for i in range(k + 1)) for k in range(n)]  # -R W_m
+            a, d = _reduced(row, c * m ** (2 * n - 1) * e)
+        window.appendleft((a, d))
+        rows = [a]
+        for _ in range(n - 1):
+            rows.append([m * x + y for x, y in zip(rows[-1], (0, *rows[-1]))])
+        for crow, row in zip(Ycs, rows):
+            for cs, x in zip(crow, row):
+                cs.append(Fraction(x, d))
         if m % p == 0:
-            LY.append(Ym)
+            LY.append((rows, d))
 
-    F = []
+    fs = []  # F's last row, f_m as (numerators, denominator)
     for m, (LYm, l) in enumerate(LY):
         # over E = lcm(p l_m, fd_k l_(m-k)) every term's scale factor E / its denominator is exact
-        dens = [fd * LY[m - k][1] for k, (_, fd) in enumerate(F)]
+        dens = [fd * LY[m - k][1] for k, (_, fd) in enumerate(fs)]
         E = lcm(p * l, *dens)
-        a = E // (p * l)
-        Fm = [[a * (m * p * y + (row[j - 1] if j else 0)) for j, y in enumerate(row)] for row in LYm]
-        for k, ((Fk, _), d) in enumerate(zip(F, dens)):
-            c, cols = E // d, list(zip(*LY[m - k][0]))
-            Fm = [[t - c * sum(map(mul, frow, col)) for t, col in zip(row, cols)] for row, frow in zip(Fm, Fk)]
-        F.append(_reduced(Fm, E, Fcs))
-    del window, LY, F  # free the integer forms before the residual check; Ycs and Fcs hold the result
+        y, a = LYm[-1], E // (p * l)
+        f = [a * (m * p * x + w) for x, w in zip(y, (0, *y))]
+        for k, ((fk, _), d) in enumerate(zip(fs, dens)):
+            f = [t - E // d * sum(map(mul, fk, col)) for t, col in zip(f, zip(*LY[m - k][0]))]
+        fs.append(_reduced(f, E))
+    tail = [Fraction(0)] * (len(LY) - 1)
+    Fcs = [[[Fraction(int(j == i + 1), p), *tail] for j in range(n)] for i in range(n - 1)]
+    Fcs.append([[Fraction(f[j], d) for f, d in fs] for j in range(n)])
+    del window, LY, fs  # free the integer forms before the residual check; Ycs and Fcs hold the result
     if any(p * Fcs[i][j][0] != int(j == i + 1) for i in range(n) for j in range(n)):
         raise SylvesterSingular("p F(0) != G(0); shadow construction failed")
 
@@ -706,29 +717,7 @@ def cartier_row_residual(shadow, f, order=None):
     return diffop_from_polys(QQ, "delta", [*polys, [-(p ** (n - 1))]]).apply(g.truncate(order))
 
 
-def _ad_shift(Y, c):
-    """(c - ad_J) Y = c Y - J Y + Y J: J Y moves the rows of Y up, Y J its columns right."""
-    below = (*Y[1:], [0] * len(Y))
-    return [[c * y - b + l for y, b, l in zip(row, brow, (0, *row[:-1]))] for row, brow in zip(Y, below)]
-
-
-def _ad_shift_solve(R, m):
-    """W = m^(2n-1) Y, an integer matrix, for (m - ad_J) Y = R: m W[i][j] - W[i+1][j] + W[i][j-1] = m^(2n-1) R[i][j]."""
-    mk, W, below = m ** (2 * len(R) - 1), [], [0] * len(R)
-    for Ri in reversed(R):
-        row = [0]
-        for r, b in zip(Ri, below):
-            row.append((mk * r + b - row[-1]) // m)
-        below = row[1:]
-        W.append(below)
-    return W[::-1]
-
-
-def _reduced(N, d, cs):
-    """N / d cut by one gcd to a denominator > 0; its Fractions are appended to the coefficient lists cs."""
-    g = gcd(d, *(x for row in N for x in row)) * (-1 if d < 0 else 1)
-    N, d = [[x // g for x in row] for row in N], d // g
-    for crow, row in zip(cs, N):
-        for c, x in zip(crow, row):
-            c.append(Fraction(x, d))
-    return N, d
+def _reduced(v, d):
+    """v / d cut by one gcd to a denominator > 0, as (numerators, denominator)."""
+    g = gcd(d, *v) * (-1 if d < 0 else 1)
+    return [x // g for x in v], d // g

@@ -13,7 +13,8 @@ A series divides a series (`/`) by Newton's iteration on `convolve`;
 
 Includes the section/Cartier operator family: cartier(f, p, r) extracts the
 coefficients of index r mod p, compose_power substitutes z -> z^(p^k), and
-delta applies the Euler operator z d/dz.
+delta applies the Euler operator z d/dz.  The library applies delta to a series
+only through `DiffOp.apply`; `delta` is the acceptance contract's reference.
 """
 
 from fractions import Fraction

@@ -237,6 +237,17 @@ def test_series_mod_p_digit_route_rejects_bad_input():
         series_mod_p(CAT["f2"], 5, 0)
 
 
+@pytest.mark.parametrize("p", [4, 1, 0, -3])
+def test_series_mod_p_q_route_rejects_a_non_prime_before_expanding(p, monkeypatch):
+    calls = []
+    monkeypatch.setattr(catalog, "gen_terms", lambda g, T: calls.append((g.name, T)) or [])
+    fr2 = catalog.SeqGen("fr2", "operator", operator=catalog.hypergeometric_fr_operator(2))
+    for entry in (CAT["apery"], fr2):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            series_mod_p(entry, p, 20000)
+    assert calls == []
+
+
 def _cy210_mod_per_k(n, p):
     """cy210_term(n) mod p by the sum over k, one Lucas walk per binomial."""
     s = sum((-1) ** k * lucas_binom(2 * n, k, p) ** 4 for k in range(2 * n + 1))

@@ -881,12 +881,12 @@ def _assert_shadow_matches_oracle(L, p, T):
 @pytest.mark.parametrize(
     "name,p,T",
     [("f2", 3, 120), ("f2", 5, 120), ("g2", 3, 120), ("g3", 5, 100), ("f3", 7, 98),
-     ("apery", 3, 60), ("apery", 5, 100), ("fr4", 5, 60),
+     ("apery", 3, 60), ("apery", 5, 100), ("fr4", 5, 60), ("fr5", 7, 60),
      # T <= p leaves Lambda_p Y one term and F = J/p; T = p + 1 gives F two terms
      ("f2", 3, 1), ("f2", 3, 3), ("f2", 5, 4), ("apery", 7, 7), ("apery", 5, 6)],
 )
 def test_shadow_recurrence_matches_convolution_oracle(name, p, T):
-    L = hypergeometric_fr_operator(4) if name == "fr4" else CAT[name].operator
+    L = hypergeometric_fr_operator(int(name[2])) if name.startswith("fr") else CAT[name].operator
     _assert_shadow_matches_oracle(L, p, T)
 
 
@@ -897,6 +897,11 @@ def test_shadow_recurrence_matches_convolution_oracle(name, p, T):
         ([[0, -8], [0, -48], [0, -96], [-3, 192]], 5, 80),
         # non-integral companion coefficients: den and the last row are scaled by 42
         ([[0, Fraction(1, 7)], [0, Fraction(2, 3)], [5, Fraction(3, 2)]], 3, 60),
+        # delta^2 and delta^3: span 0, so no earlier term enters and Y = I
+        ([[], [], [1]], 3, 30),
+        ([[], [], [], [1]], 5, 30),
+        # a z^3 coefficient: span 3, with q_1, q_2, q_3 of degrees 0, 1 and 2
+        ([[0, 1, 0, 2], [0, 0, -1, 1], [1, 0, 0, 3]], 3, 60),
     ],
 )
 def test_shadow_integer_scale_and_sign(polys, p, T):
@@ -925,3 +930,6 @@ def test_shadow_errors():
     for T in (0, -1):
         with pytest.raises(ValueError, match="T must be >= 1"):
             frobenius_shadow(CAT["f2"].operator, 3, T)
+    for p in (0, 1, 4, -3):
+        with pytest.raises(BadPrime, match=f"^{p} is not prime$"):
+            frobenius_shadow(CAT["f2"].operator, p, 30)
