@@ -41,7 +41,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .catalog import series_mod_p
-from .diffop import _cleared, _horner, _index_polys
+from .diffop import _horner, _index_polys
 from .diffop import companion, diffop_from_polys, is_mom, recurrence_from, singularities, to_delta
 from .errors import (
     BadPrime,
@@ -53,7 +53,7 @@ from .errors import (
 )
 from .fields import QQ, PrimeField, is_prime
 from .linalg import kernel_basis
-from .poly import Poly
+from .poly import Poly, _cleared
 from .ratfun import RatFun
 from .series import TruncSeries, ratfun_series
 
@@ -136,7 +136,8 @@ def split_pade(f_p, d, p):
     equal (Pade uniqueness), so pade_ratio reads each from the first 2d terms of its section.  With
     D the lcm of their denominators (D(0) != 0), P = f(z) (D / Lambda_p f)(z^p) mod z^(pd) by one
     product, and _finish_split, the one check, verifies the split to the order of f.  No relation
-    in the prefix, or deg D > d - 1, is reported at the last index of f that was read.
+    in the prefix, or deg D > d - 1, is reported at the last index of f that was read.  At span 1
+    every ratio has degree 0, so D = 1 and no ratio is read: _finish_split names the same index.
     """
     field = f_p.field
     if not isinstance(field, PrimeField) or field.p != p:
@@ -149,7 +150,7 @@ def split_pade(f_p, d, p):
         raise ReconstructionFailed(f"need at least {(2 * d - 1) * p + 1} series coefficients for span {d}")
     head = f_p.truncate(min(len(f_p), 2 * d * p))
     s0, D = head.cartier(p, 0), Poly.one(field)
-    for r in range(1, p):
+    for r in range(1, p if d > 1 else 1):
         s = head.cartier(p, r)
         try:
             v = pade_ratio(s, s0, d - 1)[1]

@@ -25,11 +25,11 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .errors import BadPrime, LeadingZero, NotMomAtZero, NotSeriesExpandable, ParseError
 from .fields import QQ, PrimeField, is_prime, primes_upto
-from .poly import Poly, content, format_poly
+from .poly import Poly, _cleared, content, format_poly
 from .ratfun import RatFun, common_denominator
 from .series import TruncSeries
 
@@ -100,7 +100,7 @@ class DiffOp:
         """Apply the numerators of the delta form (`to_delta`) to f, exact to its truncation order.
 
         Coefficient m is sum_j Q_j(m - j) f_(m-j), with the Q_j of `_index_polys`, summed
-        on integers (`_cleared`) into one Fraction, or one residue mod p, per coefficient.
+        on integers (`poly._cleared`) into one Fraction, or one residue mod p, per coefficient.
         """
         if f.field != self.field:
             raise TypeError("series/operator fields do not match")
@@ -334,12 +334,10 @@ def indicial_at_zero(L):
     at 0 (zero ordinary or regular singular); raises NotSeriesExpandable
     otherwise.  The roots are the exponents of L at zero.
     """
-    N = to_delta(L).nums
-    if _pole_at_zero(N):
+    Ld = to_delta(L)
+    if _pole_at_zero(Ld.nums):
         raise NotSeriesExpandable("delta coefficient has a pole at 0")
-    field, v = L.field, N[0].valuation()
-    inv = field.inv(N[0][v])
-    return Poly(field, [P[v] * inv for P in reversed(N)])
+    return _index_polys(Ld)[Ld.nums[0].valuation()].monic()
 
 
 def is_mom(L):
@@ -387,9 +385,10 @@ def reduce_op_mod_p(L, p):
         raise BadPrime(f"{p} is not prime")
     if L.field != QQ:
         raise TypeError("operator must be over Q")
-    c = content(L.nums)
     Fp = PrimeField(p)
-    coeffs = [Poly(Fp, [int(v / c) for v in N.coeffs]) for N in L.nums]
+    _, ints = _cleared([N.coeffs for N in L.nums])
+    g = gcd(*(v for s in ints for v in s))
+    coeffs = [Poly(Fp, [v // g for v in s]) for s in ints]
     if coeffs[0].is_zero():
         raise BadPrime(f"leading coefficient vanishes mod {p}")
     if int(L.den.content_primitive()[1].leading()) % p == 0:
@@ -501,12 +500,6 @@ def _index_polys(Ld):
     return [Poly(Ld.field, [N[n - i][j] for i in range(n + 1)]) for j in range(span + 1)]
 
 
-def _cleared(seqs):
-    """(den, int lists): the sequences of seqs over their lcm denominator; 1 for F_p residues (ints)."""
-    den = lcm(*(v.denominator for s in seqs for v in s))
-    return den, [[v.numerator * (den // v.denominator) for v in s] for s in seqs]
-
-
 def expand(rec, initial, T):
     """Forward-solve the recurrence over Q to a series of order T.
 
@@ -548,20 +541,13 @@ def _horner(cs, x):
 
 
 def diffop_to_json(L):
-    """Operator as a JSON-able dict; coeffs listed by ascending derivative order."""
-    coeffs = []
-    for c in reversed(L.coeffs):
-        num, den = _int_poly_pair(c)
-        coeffs.append({"num": num, "den": den})
-    return {"basis": L.basis, "coeffs": coeffs}
+    """Operator as a JSON-able dict; coeffs listed by ascending derivative order.
 
-
-def _int_poly_pair(r):
-    """Integer coefficient lists of r's num and den: residues over F_p, a primitive pair over Q."""
-    if isinstance(r.field, PrimeField):
-        return list(r.num.coeffs), list(r.den.coeffs)
-    c = content([r.num, r.den])
-    return [int(v / c) for v in r.num.coeffs], [int(v / c) for v in r.den.coeffs]
+    Each coefficient is its num/den pair `_cleared`: residues over F_p; over Q a primitive integer
+    pair, as den is monic, so the pair's numerators have gcd 1 and its `content` is 1 / the denominator.
+    """
+    pairs = (_cleared([c.num.coeffs, c.den.coeffs])[1] for c in reversed(L.coeffs))
+    return {"basis": L.basis, "coeffs": [{"num": num, "den": den} for num, den in pairs]}
 
 
 def json_value(data):

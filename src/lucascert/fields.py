@@ -20,7 +20,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin with the first 12 primes as witnesses, valid for all n < 3.3 * 10^24."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -30,7 +30,7 @@ def is_prime(n):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -246,16 +246,15 @@ class Poly:
 
         c is `content([self])` with the sign of the leading coefficient, so the
         primitive part has integer coefficients with gcd 1 and positive
-        leading coefficient.
+        leading coefficient: the `_cleared` integers divided by their signed gcd.
         """
         if self.field != QQ:
             raise TypeError("content/primitive only defined over Q")
         if self.is_zero():
             return Fraction(0), self
-        c = content([self])
-        if self.coeffs[-1] < 0:
-            c = -c
-        return c, Poly(QQ, [v / c for v in self.coeffs])
+        den, (ints,) = _cleared([self.coeffs])
+        g = int_gcd(*ints) * (-1 if ints[-1] < 0 else 1)
+        return Fraction(g, den), Poly._canonical(QQ, [Fraction(v // g) for v in ints])
 
     # -- gcd, resultant -------------------------------------------------
 
@@ -392,13 +391,20 @@ def format_poly(p, var="z"):
 
 
 def content(polys):
-    """The content of Q-polynomials: gcd of all coefficient numerators / lcm of all denominators.
+    """The content of Q-polynomials: the gcd of their `_cleared` integers over the common denominator.
 
-    Every Fraction is in lowest terms, so dividing by it leaves integer
-    coefficients with gcd 1.  0 when every polynomial is zero.
+    For reduced fractions that is the gcd of the numerators over the lcm of the denominators: at each
+    prime q, the coefficient whose denominator holds the most factors q has a numerator prime to q.
+    Dividing by it leaves integer coefficients with gcd 1.  0 when every polynomial is zero.
     """
-    cs = [c for P in polys for c in P.coeffs]
-    return Fraction(int_gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
+    den, ints = _cleared([P.coeffs for P in polys])
+    return Fraction(int_gcd(*(v for s in ints for v in s)), den)
+
+
+def _cleared(seqs):
+    """(den, int lists): seqs over their lcm denominator, the library's one integer clearing; 1 for F_p ints."""
+    den = lcm(*(v.denominator for s in seqs for v in s))
+    return den, [[v.numerator * (den // v.denominator) for v in s] for s in seqs]
 
 
 def convolve(field, a, b, n):
@@ -407,8 +413,8 @@ def convolve(field, a, b, n):
     The one product loop of the library, shared by Poly and TruncSeries.
     a, b and the output hold canonical coefficients.  Over F_p, operands
     that are long enough go through Kronecker substitution; everything else
-    is schoolbook on ints (over Q, each operand's numerators over its lcm
-    denominator), with one `% p` or one `Fraction` per output coefficient.
+    is schoolbook on ints (over Q, each operand `_cleared` on its own), with
+    one `% p` or one `Fraction` per output coefficient.
     """
     a, b = a[:n], b[:n]
     if not a or not b:
@@ -418,9 +424,7 @@ def convolve(field, a, b, n):
         out = _kronecker_mul(a, b, p, n)
         return out + [0] * (n - len(out))
     if not p:
-        da, db = lcm(*(x.denominator for x in a)), lcm(*(y.denominator for y in b))
-        a = [x.numerator * (da // x.denominator) for x in a]
-        b = [y.numerator * (db // y.denominator) for y in b]
+        (da, (a,)), (db, (b,)) = _cleared([a]), _cleared([b])
     terms = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * n
     for i, x in enumerate(a):

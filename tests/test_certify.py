@@ -233,8 +233,8 @@ def test_split_names_an_index_for_every_change_in_the_prefix():
 def test_split_pade_failures_in_the_prefix_name_the_last_index_read():
     F, p = GF(5), 5
     # section 2 of 1 + z^7 is (0, 1): no relation of degree 0 in its first 2 terms,
-    # which end at index (2d - 1) p + 2 = 7
-    with pytest.raises(ReconstructionFailed, match="section 2 has no relation") as exc:
+    # which end at index (2d - 1) p + 2 = 7, where the split's one check fails
+    with pytest.raises(ReconstructionFailed, match=r"not a series in z\^p \(index 7\)") as exc:
         split_pade(TruncSeries(F, [1] + [0] * 6 + [1] + [0] * 22), 1, p)
     assert exc.value.index == 7
     # sections 1 and 2 are 1/(1 - z) and 1/(1 - 2z) times section 0: each ratio has
@@ -276,6 +276,27 @@ def test_split_pade_recovers_planted_splits_and_names_every_failure(p):
             else:
                 assert check_split(f, w.P, p, T)  # a random series that happens to split
         assert failed >= 15, (p, d)
+
+
+@pytest.mark.parametrize("p", [3, 5, 37])
+def test_split_pade_at_span_1_reads_no_ratio_and_names_each_changed_index(monkeypatch, p):
+    rng, F, calls = random.Random(p), GF(p), []
+    monkeypatch.setattr(certify, "pade_ratio", lambda *args: calls.append(args) or pade_ratio(*args))
+    P = _planted_split(rng, F, p, 1)
+    c = TruncSeries(F, [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(5)])
+    f = c.compose_power(p, 1, out_len=6 * p).mul_poly(P)
+    assert split_pade(f, 1, p).P == P.scale(F.inv(P[0]))
+    for m in range(p, 2 * p):
+        g = TruncSeries(F, f.coeffs[:m] + ((f[m] + 1) % p,) + f.coeffs[m + 1 :])
+        # a changed f_p scales Lambda_p f: it shows first where P has its first nonzero z^r, r >= 1
+        want = m if m > p else next((p + r for r in range(1, p) if P[r]), None)
+        try:
+            split_pade(g, 1, p)
+        except ReconstructionFailed as exc:
+            assert exc.index == want, (p, m)
+        else:
+            assert want is None, (p, m)
+    assert not calls
 
 
 @pytest.mark.parametrize("p", [5, 37, 101])

@@ -44,6 +44,7 @@ from lucascert import (
     to_delta,
 )
 from lucascert.cli import main as cli_main
+from lucascert.poly import content
 
 CAT = default_catalog()
 
@@ -485,6 +486,37 @@ def test_reduce_bad_prime_on_killed_leading():
     L = diffop_from_polys(QQ, "d", [[1], [0, 3]])
     with pytest.raises(BadPrime):
         reduce_op_mod_p(L, 3)
+
+
+def test_reduction_and_json_match_the_fraction_division_route():
+    def primitive(polys):
+        """Integer coefficients by the former route: each one divided by the Fraction content."""
+        c = content(polys)
+        return [[int(v / c) for v in P.coeffs] for P in polys]
+
+    def rational():
+        return Poly(QQ, [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))])
+
+    rng, seen = random.Random(35), set()
+    ops = [e.operator for e in CAT.values() if e.operator is not None]
+    ops += [hypergeometric_fr_operator(r) for r in (2, 3, 4)]
+    while len(ops) < 80:
+        coeffs = [RatFun(rational(), rational() or Poly.one(QQ)) for _ in range(rng.randint(2, 4))]
+        if coeffs[0]:
+            ops.append(DiffOp(QQ, rng.choice(("d", "delta")), coeffs))
+    for L in ops:
+        data = diffop_to_json(L)
+        assert [[c["num"], c["den"]] for c in data["coeffs"]] == [primitive([c.num, c.den]) for c in L.coeffs[::-1]]
+        for p in (2, 3, 5, 7, 101):
+            nums = [Poly(GF(p), cs) for cs in primitive(L.nums)]
+            if not nums[0] or primitive([L.den])[0][-1] % p == 0:
+                with pytest.raises(BadPrime):
+                    reduce_op_mod_p(L, p)
+                seen.add("bad")
+            else:
+                assert reduce_op_mod_p(L, p).nums == tuple(nums), (L, p)
+                seen.add("good")
+    assert seen == {"bad", "good"}
 
 
 # -- p-curvature ---------------------------------------------------------------------

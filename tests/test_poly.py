@@ -7,7 +7,7 @@ import pytest
 
 from lucascert import GF, QQ, Poly, default_catalog
 from lucascert.diffop import to_d
-from lucascert.poly import content
+from lucascert.poly import _cleared, content
 
 
 def to_poly(field, ints):
@@ -433,6 +433,13 @@ def test_content_matches_lcm_then_gcd_oracle():
         ints = [v / c for P in polys for v in P.coeffs] if c else []
         assert all(v.denominator == 1 for v in ints)
         assert math.gcd(*(int(v) for v in ints)) == (1 if c else 0)
+        den, cleared = _cleared([P.coeffs for P in polys])
+        assert all(type(v) is int for s in cleared for v in s)
+        assert [[Fraction(v, den) for v in s] for s in cleared] == [list(P.coeffs) for P in polys]
+        assert math.gcd(den, *(v for s in cleared for v in s)) == 1  # den is the least common denominator
+        for P in filter(None, polys):
+            cp = content([P]) if P.leading() > 0 else -content([P])
+            assert P.content_primitive() == (cp, Poly(QQ, [v / cp for v in P.coeffs])), P
         seen |= {"zero" if not c else len(polys)}
         seen |= {"interior zero" for P in polys if 0 in P.coeffs}
         seen |= {"negative lead" for P in polys if P and P.leading() < 0}
