@@ -13,9 +13,7 @@ extended Euclidean algorithm (`pade_ratio`) at the working order, and the
 dense kernel solve (`pade_kernel`) at the tight order 2h + 1 for height h.
 """
 
-import csv
 import io
-from dataclasses import dataclass, field as dc_field
 from functools import cache
 
 from .catalog import (
@@ -37,14 +35,11 @@ from .ratfun import RatFun
 from .series import TruncSeries, reduce_series_mod_p
 
 
-@dataclass
 class CaseResult:
-    case_id: str
-    p: int
-    checks: list = dc_field(default_factory=list)
-    orders: dict = dc_field(default_factory=dict)
-    excluded: bool = False
-    note: str = ""
+    def __init__(self, case_id, p):
+        self.case_id, self.p = case_id, p
+        self.checks, self.orders = [], {}
+        self.excluded, self.note = False, ""
 
     def add(self, label, passed, detail=""):
         self.checks.append((label, bool(passed), detail))
@@ -323,6 +318,8 @@ def batch_report(primes, cases):
 
 
 def results_to_csv(results):
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["case_id", "p", "check_label", "pass", "detail"])

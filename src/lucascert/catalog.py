@@ -27,13 +27,13 @@ C(2k, n) stops being 0), and reduces the Q expansion of the others; the Q
 route is their test oracle and the one `p_lucas_check` keeps.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb
 
 from .diffop import (
-    DiffOp, diffop_from_json, diffop_from_polys, diffop_to_json, expand, json_value, recurrence_from,
+    diffop_from_json, diffop_from_polys, diffop_to_json, expand, json_value, recurrence_from,
 )
 from .errors import BudgetExceeded, ParseError, UnknownSeries
 from .fields import QQ, PrimeField, is_prime, reduce_rat_mod_p
@@ -51,19 +51,17 @@ APERY_OPERATOR = diffop_from_polys(QQ, "d", ((-5, 1), (1, -112, 7), (0, 3, -153,
 _APERY_RECURRENCE = recurrence_from(APERY_OPERATOR)
 
 
-@dataclass(frozen=True)
-class SeqGen:
+class SeqGen(namedtuple("SeqGen", "name kind r operator initial")):
     """Catalog entry: a named exact coefficient sequence with a(0) = 1."""
 
-    name: str
-    kind: str
-    r: int = 0
-    operator: DiffOp = None
-    initial: tuple = (Fraction(1),)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+    def __new__(cls, name, kind, r=0, operator=None, initial=(Fraction(1),)):
+        if kind not in KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind == "operator" and operator is None:
+            raise ValueError(f"operator entry {name!r} has no operator")
+        return super().__new__(cls, name, kind, r, operator, initial)
 
 
 def gen_terms(g, T):

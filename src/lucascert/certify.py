@@ -34,8 +34,7 @@ last row, which one coefficient recurrence gives with no series inverse.  That
 last row annihilates the Cartier image of the solution vector.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
@@ -68,28 +67,17 @@ ORBIT_MIN_LENGTH = 32
 ORBIT_MAX_STEPS = 6
 
 
-@dataclass(frozen=True)
-class SplitWitness:
+class SplitWitness(namedtuple("SplitWitness", "P p degree_bound verified_to")):
     """Polynomial split f = P(z) c(z^p): P with deg P <= p*d - 1."""
 
-    P: Poly
-    p: int
-    degree_bound: int
-    verified_to: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "p level A verified_to height bound bound_kind series",
+                             defaults=("",))):
     """Verified identity f|_p(z) = A(z) f|_p(z^(p^level)) to order verified_to."""
 
-    p: int
-    level: int
-    A: RatFun
-    verified_to: int
-    height: int
-    bound: int
-    bound_kind: str
-    series: str = ""
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -105,24 +93,16 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(namedtuple("OrbitReport", "preperiod period level verified_to")):
     """Cartier orbit data: Lambda^a f = Lambda^(a+b) f certified to order verified_to."""
 
-    preperiod: int
-    period: int
-    level: int
-    verified_to: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FrobShadow:
+class FrobShadow(namedtuple("FrobShadow", "F Y p T")):
     """Uniform part Y and weak Frobenius matrix F of a MOM companion system."""
 
-    F: tuple
-    Y: tuple
-    p: int
-    T: int
+    __slots__ = ()
 
 
 # -- splitting -----------------------------------------------------------------

@@ -23,7 +23,7 @@ operator, so MOM tests, good primes and certificates share it.
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -200,8 +200,7 @@ def to_d(L):
 # -- singular locus --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(namedtuple("SingularityReport", "finite_points infinity count_r bad_integers")):
     """Finite singular factors with regularity tags, plus the point at infinity.
 
     finite_points: list of (monic irreducible Poly, is_regular).
@@ -212,10 +211,7 @@ class SingularityReport:
     operator exactly when it divides one of them; None over F_p.
     """
 
-    finite_points: tuple
-    infinity: str
-    count_r: int
-    bad_integers: tuple
+    __slots__ = ()
 
     def is_fuchsian(self):
         return self.infinity != "irregular" and all(reg for _, reg in self.finite_points)
@@ -461,8 +457,7 @@ def good_primes(L, bound):
 # -- recurrence extraction ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(namedtuple("Recurrence", "polys span")):
     """Coefficient recurrence of a MOM-at-zero operator.
 
     polys = (Q_0, ..., Q_d) over Q in the index variable, with Q_0(x) = x^n:
@@ -470,8 +465,7 @@ class Recurrence:
         Q_0(m) a_m = -sum_{j=1..d} Q_j(m - j) a_{m-j}.
     """
 
-    polys: tuple
-    span: int
+    __slots__ = ()
 
     @property
     def order(self):

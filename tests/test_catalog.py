@@ -248,6 +248,14 @@ def test_series_mod_p_q_route_rejects_a_non_prime_before_expanding(p, monkeypatc
     assert calls == []
 
 
+def test_seqgen_refuses_an_unknown_kind_and_an_operator_entry_without_operator():
+    with pytest.raises(ValueError, match="^unknown generator kind 'nosuch'$"):
+        catalog.SeqGen("x", "nosuch")
+    # refused when built, not later inside gen_terms
+    with pytest.raises(ValueError, match="^operator entry 'x' has no operator$"):
+        catalog.SeqGen("x", "operator")
+
+
 def _cy210_mod_per_k(n, p):
     """cy210_term(n) mod p by the sum over k, one Lucas walk per binomial."""
     s = sum((-1) ** k * lucas_binom(2 * n, k, p) ** 4 for k in range(2 * n + 1))

@@ -512,6 +512,20 @@ def test_import_loads_factoring():
     assert out.split() == ["True"]
 
 
+def test_import_loads_no_introspection_modules():
+    # the records are collections.namedtuple subclasses and csv is imported when CSV is written, so
+    # set-up pays for none of these; -S keeps out what a site .pth file may preload
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lucascert.__file__)))
+    code = "import sys, lucascert, lucascert.cli; lucascert.default_catalog(); print(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    modules = set(out.split())
+    assert "lucascert.cli" in modules
+    assert modules & {"dataclasses", "inspect", "typing", "ast", "dis", "csv"} == set()
+
+
 def test_cli_runs_import_only_the_standard_library(tmp_path):
     # every module the runs add to sys.modules (site's .pth imports come before) is stdlib or lucascert
     apery = tmp_path / "apery.json"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -788,7 +787,7 @@ def test_opinfo_factors_the_singular_locus_once(monkeypatch, tmp_path, capsys):
 
 def test_certificate_factors_the_singular_locus_once(monkeypatch):
     # a fresh operator, so no report is kept on it yet
-    entry = dataclasses.replace(CAT["apery"], operator=diffop_from_json(diffop_to_json(L_APERY)))
+    entry = CAT["apery"]._replace(operator=diffop_from_json(diffop_to_json(L_APERY)))
     calls = _count_factor_calls(monkeypatch)
     assemble_certificate(entry, 37)
     assert len(calls) == 1
