@@ -26,7 +26,7 @@ from .catalog import (
     p_lucas_check,
     hypergeometric_fr_operator,
 )
-from .diffop import diffop_from_polys, is_mom, indicial_at_zero, reduce_op_mod_p
+from .diffop import diffop_from_polys, is_mom, reduce_op_mod_p
 from .certify import pade_kernel, pade_ratio
 from .errors import ReconstructionFailed, UnknownCase
 from .fields import GF, QQ
@@ -213,10 +213,10 @@ def _2f1_q_identities(T):
 
 @cache
 def _fr_operator_checks(r, T):
-    """(L_r(f_r) = 0 to order T, L_r MOM with indicial polynomial x^r): neither depends on p."""
+    """(L_r(f_r) = 0 to order T, L_r MOM at zero): neither depends on p."""
     Lr = hypergeometric_fr_operator(r)
     annihilates = Lr.apply(_series_over_q(f"f{r}", T)).is_zero()
-    return annihilates, is_mom(Lr) and indicial_at_zero(Lr) == Poly.x(QQ) ** r
+    return annihilates, is_mom(Lr)
 
 
 def case_independence(p, T=None):

@@ -15,10 +15,10 @@ operator and a(0) by `diffop.expand`, the one exact recurrence solver (it
 stays on integers while the terms are integral; the double binomial sum is
 the Apery test oracle), and everything else is a big-integer binomial
 sum, its binomials walked along their rows by exact updates.  An `apery`
-entry always expands the built-in Apery operator, whatever operator it
-carries.  `cy210_term` and `cy26_term` also take a modulus: the binomials
-are still walked exactly, and each is reduced before its powers and
-products, so the residue costs no big powers and no Lucas digits.
+entry carries the built-in Apery operator (given it when it has none; any
+other operator is refused).  `cy210_term` and `cy26_term` also take a
+modulus: the binomials are still walked exactly, each reduced before its
+powers and products, so the residue costs no big powers and no Lucas digits.
 `series_mod_p` computes f|_p of the binomial kinds (binom_power, f_r, cy210,
 cy26) from base-p digits by Lucas' theorem with no big integers (C(2n,n)^r a
 digit level per list pass, times a row in n mod p for f_r; the cy210 sum a
@@ -61,6 +61,12 @@ class SeqGen(namedtuple("SeqGen", "name kind r operator initial")):
             raise ValueError(f"unknown generator kind {kind!r}")
         if kind == "operator" and operator is None:
             raise ValueError(f"operator entry {name!r} has no operator")
+        if len(initial) != 1:  # a MOM recurrence leaves only a(0) free
+            raise ValueError(f"entry {name!r} needs exactly one initial value, a(0)")
+        if kind == "apery":
+            if operator not in (None, APERY_OPERATOR):
+                raise ValueError(f"apery entry {name!r} carries an operator other than the Apery operator")
+            operator = APERY_OPERATOR
         return super().__new__(cls, name, kind, r, operator, initial)
 
 
@@ -84,7 +90,7 @@ def _generate(g, T):
         return [Fraction(cy210_term(j)) for j in range(T)]
     if g.kind == "cy26":
         return [Fraction(cy26_term(j)) for j in range(T)]
-    if g.kind == "apery":  # the Apery numbers, whatever operator the entry carries
+    if g.kind == "apery":  # the Apery numbers, from the operator every apery entry carries
         return list(expand(_APERY_RECURRENCE, [QQ.one], T).coeffs)
     if g.kind == "operator":
         return list(expand(recurrence_from(g.operator), list(g.initial), T).coeffs)
@@ -356,6 +362,10 @@ def catalog_from_json(data):
             initial = tuple(Fraction(v) for v in item.get("initial", ["1"]))
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"bad initial value: {exc}", location=f"{loc}.initial") from exc
+        if len(initial) != 1:
+            raise ParseError("initial must hold exactly one value, a(0)", location=f"{loc}.initial")
+        if kind == "apery" and op not in (None, APERY_OPERATOR):
+            raise ParseError("an apery entry carries the Apery operator or none", location=f"{loc}.operator")
         r = 0
         if kind in ("binom_power", "f_r"):
             r = item.get("r")

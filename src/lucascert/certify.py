@@ -40,8 +40,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .catalog import series_mod_p
-from .diffop import _horner, _index_polys
-from .diffop import companion, diffop_from_polys, is_mom, recurrence_from, singularities, to_delta
+from .diffop import _horner, companion, diffop_from_polys, is_mom, recurrence_from, singularities, to_delta
 from .errors import (
     BadPrime,
     BudgetExceeded,
@@ -586,9 +585,9 @@ def frobenius_shadow(L, p, T, solution=None):
 
     The delta-companion G = M/den is the shift J (ones on the superdiagonal)
     plus a last row, which a MOM-at-zero operator has zero at 0: G(0) = J.
-    Y (Y(0) = I) solves delta Y = G Y - Y J, and Y z^J is the Frobenius log-basis
-    of L = sum_j z^(v+j) q_j(delta), q_0 = c x^n.  Row 0 of Y_m is a_m(eps) mod eps^n
-    by the Frobenius method (Ince, Ordinary Differential Equations, 1926): a_0 = 1,
+    Y (Y(0) = I) solves delta Y = G Y - Y J; Y z^J is the Frobenius log-basis of L = z^v sum_j
+    z^j q_j(delta), the q_j those of `recurrence_from` on integers, q_0 = c x^n.  Row 0 of Y_m is
+    a_m(eps) mod eps^n by the Frobenius method (Ince, Ordinary Differential Equations, 1926): a_0 = 1,
     sum_j q_j(m - j + eps) a_(m-j) = 0, so a_m = -R W_m / (c m^(2n-1)) with
     R = sum_{j>=1} q_j(m - j + eps) a_(m-j) (q_j(x + eps) by Taylor polynomials) and
     W_m = m^(2n-1) (m + eps)^(-n), an integer polynomial.  Row i + 1 of Y is
@@ -623,9 +622,8 @@ def frobenius_shadow(L, p, T, solution=None):
     if any(ratfun_series(RatFun(m, den), 1)[0] for m in M[n - 1]):
         raise SylvesterSingular("operator is not MOM at zero: G(0) has a nonzero last row")
 
-    # G(0) = J makes q_0 = c x^n once the common power z^v is divided out
-    v = min(P.valuation() for P in Ld.nums if P)
-    _, (q0, *Q) = _cleared([P.coeffs for P in _index_polys(Ld)[v:]])
+    # G(0) = J makes q_0 = c x^n, so the operator has a recurrence
+    _, (q0, *Q) = _cleared([P.coeffs for P in recurrence_from(Ld).polys])
     c = q0[n]
     taylor = [[[comb(k, i) * q[k] for k in range(i, len(q))] for i in range(n)] for q in Q]  # q_j(x + eps)
     W = [(-1) ** i * comb(n + i - 1, i) for i in range(n)]  # W_m = sum_i W[i] m^(n-1-i) eps^i

@@ -11,9 +11,9 @@ is unique.  `coeffs` views the reduced rational coefficients N_k / D.
 
 The module covers the local anatomy of an operator: the change of
 derivation between d/dz and delta and the z -> 1/z transform, all three
-by one rewriting of the polynomial form, the indicial polynomial
-and exponents at zero, reduction mod p, p-curvature, and the coefficient
-recurrence of a MOM-at-zero operator.  `singularities` is the
+by one rewriting of the polynomial form; the indicial polynomial and exponents,
+the MOM test and the coefficient recurrence, all one reading of the operator at
+zero (`_local_polys`); reduction mod p and p-curvature.  `singularities` is the
 one analysis of the singular locus: exact irreducible factors, Fuchs
 regularity and, over Q, the integers whose prime divisors are the bad
 primes.  It factors once per operator and keeps its report on the
@@ -88,13 +88,11 @@ class DiffOp:
         return [c / lead for c in tail]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DiffOp)
-            and other.field == self.field
-            and other.basis == self.basis
-            and other.den == self.den
-            and other.nums == self.nums
-        )
+        return isinstance(other, DiffOp) and (other.field, other.basis, other.den, other.nums) == (
+            self.field, self.basis, self.den, self.nums)
+
+    def __hash__(self):
+        return hash((self.field, self.basis, self.den, self.nums))
 
     def apply(self, f):
         """Apply the numerators of the delta form (`to_delta`) to f, exact to its truncation order.
@@ -288,19 +286,14 @@ def _multiplicity(P, fac):
 
 def _infinity_tag(Ld):
     """Classify infinity: ordinary, regular singular, or irregular."""
-    # singular at all? equivalent to 0 being a singular point of L(1/z)
-    if not _pole_at_zero(infinity_transform(Ld).nums):
+    # singular at all? equivalent to 0 being a singular point of L(1/z): some N_i / N_0 has a pole there
+    lead, *tail = infinity_transform(Ld).nums
+    if not any(P and P.valuation() < lead.valuation() for P in tail):
         return "nonsingular"
     # regular-vs-irregular by the degree criterion on the monic coefficients N_i / N_0
     N = Ld.nums
     regular = all(not P or P.degree() <= N[0].degree() - i for i, P in enumerate(N))
     return "regular" if regular else "irregular"
-
-
-def _pole_at_zero(N):
-    """True when some N_i / N_0 has a pole at z = 0."""
-    v = N[0].valuation()
-    return any(P and P.valuation() < v for P in N[1:])
 
 
 def infinity_transform(L):
@@ -324,35 +317,28 @@ def infinity_transform(L):
 
 
 def indicial_at_zero(L):
-    """The monic indicial polynomial x^n + b_1(0) x^(n-1) + ... + b_n(0).
+    """The monic indicial polynomial x^n + b_1(0) x^(n-1) + ... + b_n(0): Q_0 of `_local_polys`, made monic.
 
     Requires every normalized delta-basis coefficient b_i to be expandable
-    at 0 (zero ordinary or regular singular); raises NotSeriesExpandable
-    otherwise.  The roots are the exponents of L at zero.
+    at 0 (zero ordinary or regular singular), which holds exactly when
+    deg Q_0 = n; raises NotSeriesExpandable otherwise.  The roots are the
+    exponents of L at zero.
     """
-    Ld = to_delta(L)
-    if _pole_at_zero(Ld.nums):
+    Q0 = _local_polys(L)[0]
+    if Q0.degree() < L.order:
         raise NotSeriesExpandable("delta coefficient has a pole at 0")
-    return _index_polys(Ld)[Ld.nums[0].valuation()].monic()
+    return Q0.monic()
 
 
 def is_mom(L):
-    """Maximal-order-multiplicity test at zero.
+    """Maximal-order-multiplicity at zero: Q_0 of `_local_polys` proportional to x^n, and L Fuchsian.
 
-    True iff L is Fuchsian and its indicial polynomial at zero is x^n.
     An order-n operator with an ordinary point at 0 qualifies only when the
     indicial polynomial still collapses to x^n (for n = 1 this means an
     exponent-0 ordinary point, a harmless extension of the usual definition
     that requires 0 to be singular).
     """
-    try:
-        ind = indicial_at_zero(L)
-    except NotSeriesExpandable:
-        return False
-    n = L.order
-    if ind != Poly.x(L.field) ** n:
-        return False
-    return singularities(L).is_fuchsian()
+    return _local_polys(L)[0].monic() == Poly.x(L.field) ** L.order and singularities(L).is_fuchsian()
 
 
 def exponents_at_zero(L):
@@ -467,24 +453,28 @@ class Recurrence(namedtuple("Recurrence", "polys span")):
 
     __slots__ = ()
 
-    @property
-    def order(self):
-        return self.polys[0].degree()
-
 
 def recurrence_from(L):
-    """Extract the recurrence by collecting z^n L = sum_j z^j Q_j(delta).
+    """The recurrence of `_local_polys`, Q_0 scaled to x^n; z^k L gives the same one as L.
 
-    Requires polynomial delta-basis coefficients after clearing denominators
-    and Q_0 proportional to x^n; raises NotMomAtZero otherwise.
+    Requires Q_0 proportional to x^n; raises NotMomAtZero otherwise.
     """
-    Ld = to_delta(L)
-    field, n = Ld.field, Ld.order
-    Q = _index_polys(Ld)
-    if Q[0].monic() != Poly.x(field) ** n:  # the zero Q_0 included
+    Q = _local_polys(L)
+    field, n = L.field, L.order
+    if Q[0].monic() != Poly.x(field) ** n:
         raise NotMomAtZero(f"Q_0 = {format_poly(Q[0], var='x')} is not proportional to x^{n}")
     inv = field.inv(Q[0].leading())
     return Recurrence(tuple(q.scale(inv) for q in Q), len(Q) - 1)
+
+
+def _local_polys(L):
+    """Q_0, ..., Q_s of to_delta(L) = z^v sum_j z^j Q_j(delta), v the least valuation of its numerators.
+
+    The one reading of an operator at zero: Q_0, the z^v part, is never zero.
+    """
+    Ld = to_delta(L)
+    v = min(P.valuation() for P in Ld.nums if P)
+    return _index_polys(Ld)[v:]
 
 
 def _index_polys(Ld):

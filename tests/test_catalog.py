@@ -8,10 +8,13 @@ import pytest
 
 from lucascert import (
     NotPLocal,
+    ParseError,
     UnknownSeries,
     catalog_from_json,
     catalog_to_json,
     default_catalog,
+    diffop_from_json,
+    diffop_to_json,
     gen_terms,
     lookup,
     lucas_binom,
@@ -80,19 +83,32 @@ def test_apery_expansion_runs_on_integers():
 
 
 def test_json_apery_entry_expands_the_builtin_operator():
-    # an apery entry means the Apery numbers, with no operator or with another one
+    # an apery entry with no operator is given the Apery operator; another operator is refused
     foreign = catalog_to_json({"f2": CAT["f2"]})[0]["operator"]
-    cat = catalog_from_json(
-        [
-            {"name": "bare", "kind": "apery"},
-            {"name": "foreign", "kind": "apery", "operator": foreign, "initial": ["3"]},
-        ]
-    )
-    assert cat["bare"].operator is None
-    assert cat["foreign"].operator == CAT["f2"].operator
-    oracle = [apery_double_sum(n) for n in range(60)]
-    for name in ("bare", "foreign"):
-        assert gen_terms(cat[name], 60) == oracle, name
+    cat = catalog_from_json([{"name": "bare", "kind": "apery"}])
+    assert cat["bare"].operator == catalog.APERY_OPERATOR
+    assert gen_terms(cat["bare"], 60) == [apery_double_sum(n) for n in range(60)]
+    with pytest.raises(ParseError, match=r"\(at entry\[0\]\.operator\)$"):
+        catalog_from_json([{"name": "foreign", "kind": "apery", "operator": foreign}])
+
+
+def test_seqgen_refuses_an_apery_entry_with_a_foreign_operator():
+    with pytest.raises(ValueError, match="^apery entry 'x' carries an operator other than the Apery operator$"):
+        catalog.SeqGen("x", "apery", operator=CAT["f2"].operator)
+    # the stored form is compared: the same operator parsed afresh is accepted
+    same = diffop_from_json(diffop_to_json(catalog.APERY_OPERATOR))
+    assert catalog.SeqGen("x", "apery", operator=same).operator is catalog.APERY_OPERATOR
+
+
+@pytest.mark.parametrize("initial", [[], ["1", "5"], ["1", "1", "1"]])
+def test_operator_entry_takes_exactly_one_initial_value(initial):
+    # a MOM recurrence leaves only a(0) free: ["1", "5"] once expanded to 1, 5, 15, 100, ...
+    entry = {"name": "x", "kind": "operator", "operator": catalog_to_json({"f2": CAT["f2"]})[0]["operator"],
+             "initial": initial}
+    with pytest.raises(ParseError, match=r"\(at entry\[0\]\.initial\)$"):
+        catalog_from_json([entry])
+    with pytest.raises(ValueError, match="^entry 'x' needs exactly one initial value, a\\(0\\)$"):
+        catalog.SeqGen("x", "operator", operator=CAT["f2"].operator, initial=tuple(map(Fraction, initial)))
 
 
 def test_f2_closed_form():

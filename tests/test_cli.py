@@ -31,6 +31,7 @@ from lucascert.cli import (
     main,
 )
 from lucascert.factoring import MAX_RECOMBINE_SUBSETS
+from test_diffop import CATALOG_OPERATORS, times_z
 
 
 @pytest.fixture()
@@ -360,6 +361,38 @@ def test_certify_apery_at_211_stops_at_the_height_bound(capsys):
 
 def test_certify_bad_prime(capsys):
     assert main(["certify", "f2", "-p", "2", "--T", "128"]) == 1
+
+
+@pytest.fixture(scope="module")
+def z_catalog(tmp_path_factory):
+    """An `operator` entry zL for each catalog operator L, as its delta form times z, and a bare apery."""
+    cat = default_catalog()
+    entries = [{"name": f"z{name}", "kind": "operator", "operator": diffop_to_json(times_z(cat[name].operator, 1))}
+               for name in CATALOG_OPERATORS]
+    path = tmp_path_factory.mktemp("z_catalog") / "catalog.json"
+    path.write_text(json.dumps(entries + [{"name": "bare", "kind": "apery"}]))
+    return str(path)
+
+
+def _cli_out(capsys, *argv):
+    assert main(list(argv)) == 0, argv
+    return capsys.readouterr().out
+
+
+# f2 and f3 at p = 3: at p = 5 their Q route takes 0.7 and 3.5 s
+@pytest.mark.parametrize("name, p", [("g1", 5), ("g2", 5), ("g3", 5), ("f2", 3), ("f3", 3), ("apery", 5)])
+def test_operator_entry_times_z_certifies_and_expands_as_its_operator(z_catalog, capsys, name, p):
+    want = json.loads(_cli_out(capsys, "certify", name, "-p", str(p)))
+    got = json.loads(_cli_out(capsys, "certify", f"z{name}", "-p", str(p), "--catalog", z_catalog))
+    assert got == {**want, "series": f"z{name}"}
+    terms = _cli_out(capsys, "expand", name, "--T", "64")
+    assert _cli_out(capsys, "expand", f"z{name}", "--T", "64", "--catalog", z_catalog) == terms
+
+
+def test_bare_apery_entry_certifies_as_apery(z_catalog, capsys):
+    want = json.loads(_cli_out(capsys, "certify", "apery", "-p", "5"))
+    got = json.loads(_cli_out(capsys, "certify", "bare", "-p", "5", "--catalog", z_catalog))
+    assert got == {**want, "series": "bare"}
 
 
 def test_certificate_roundtrip_reverifies(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from lucascert import catalog_to_json, default_catalog, diffop_to_json
 from lucascert.cli import main
+from test_diffop import times_z
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -21,9 +22,14 @@ EXIT_CODES = {0, 1, 2, 3}  # success, input error, verification failure, height-
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli_fuzz")
     paths = {"dir": str(d), "missing": str(d / "missing.json")}
+    cat = default_catalog()
+    # well-formed operators that carry a power of z in their delta form
+    z_ops = {name: diffop_to_json(times_z(cat[name].operator, 1)) for name in ("f2", "apery")}
     contents = {
-        "op": json.dumps(diffop_to_json(default_catalog()["f2"].operator)),
-        "catalog": json.dumps(catalog_to_json(default_catalog()) + [{"name": "f4", "kind": "f_r", "r": 4}]),
+        "op": json.dumps(diffop_to_json(cat["f2"].operator)),
+        "z_op": json.dumps(z_ops["f2"]),
+        "catalog": json.dumps(catalog_to_json(cat) + [{"name": "f4", "kind": "f_r", "r": 4}]
+                              + [{"name": f"z{n}", "kind": "operator", "operator": op} for n, op in z_ops.items()]),
         "garbage": "{not json",
         "empty": "",
         "array": "[1, 2, 3]",
@@ -35,7 +41,7 @@ def files(tmp_path_factory):
 
 
 GARBAGE = ["", "x", "-1", "0", "1.5", "1e3", "3,", ",", "--", "nan", "é"]
-SERIES = ["g1", "g2", "g3", "f1", "f2", "f3", "apery", "t", "cy210", "cy26", "f4", "x"]
+SERIES = ["g1", "g2", "g3", "f1", "f2", "f3", "apery", "t", "cy210", "cy26", "f4", "zf2", "zapery", "x"]
 CASES = ["all", "210", "26", "2f1", "independence", "apery-lucas", "x"]
 # the flags each subcommand reads; any other flag is a usage error
 OWN = {
@@ -71,7 +77,7 @@ def _argv(rng, files):
     if command == "expand":
         argv = [command, rng.choice(SERIES), "--T", T()]
     elif command == "opinfo":
-        argv = [command, files[often(["op"], sorted(files))]]
+        argv = [command, files[often(["op", "z_op"], sorted(files))]]
     elif command == "certify":
         argv = [command, rng.choice(SERIES), "--T", T()]
         if rng.random() < 0.9:

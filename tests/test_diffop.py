@@ -29,6 +29,7 @@ from lucascert import (
     diffop_to_json,
     expand,
     exponents_at_zero,
+    frobenius_shadow,
     good_primes,
     hypergeometric_fr_operator,
     indicial_at_zero,
@@ -43,6 +44,7 @@ from lucascert import (
     to_delta,
 )
 from lucascert.cli import main as cli_main
+from lucascert.diffop import _index_polys, _local_polys
 from lucascert.poly import content
 
 CAT = default_catalog()
@@ -854,6 +856,85 @@ def test_recurrence_not_mom():
     # the message names Q_0 in the recurrence variable x, not the series variable z
     with pytest.raises(NotMomAtZero, match=re.escape("Q_0 = 1 + x is not proportional to x^1")):
         recurrence_from(diffop_from_polys(QQ, "delta", [[1], [1]]))  # delta + 1
+
+
+def times_z(L, k):
+    """z^k L, as the delta form of L with every numerator times z^k."""
+    Ld = to_delta(L)
+    return DiffOp._from_cleared(Ld.field, "delta", Ld.den, [N.shift(k) for N in Ld.nums])
+
+
+def _indicial_by_numerators(L):
+    """The indicial polynomial read off the delta numerators: the pole test, then Q at N_0's valuation."""
+    Ld = to_delta(L)
+    v = Ld.nums[0].valuation()
+    if any(P and P.valuation() < v for P in Ld.nums[1:]):
+        raise NotSeriesExpandable("delta coefficient has a pole at 0")
+    return _index_polys(Ld)[v].monic()
+
+
+def _random_local_operator(rng, field):
+    """(operator, MOM-shaped?, k): order 1-3, either basis, times z^k; MOM-shaped ones have Q_0 = x^n."""
+    n, k = rng.randint(1, 3), rng.choice((0, 0, 0, 1, 2, 3))
+
+    def poly(low, degree):  # valuation at least low
+        return Poly(field, [0] * low + [field.coerce(rng.randint(-4, 4)) for _ in range(degree + 1)])
+
+    mom = rng.random() < 0.5
+    if mom:  # delta form with N_0(0) != 0 = N_i(0), then a random basis and denominator
+        nums = [Poly.one(field) + poly(1, 2)] + [poly(1, 2) for _ in range(n)]
+    else:
+        nums = [poly(rng.randint(0, 2), 2) for _ in range(n + 1)]
+        nums[0] = nums[0] or Poly.one(field)
+    L = DiffOp._from_cleared(field, "delta", Poly.one(field), nums)
+    if rng.random() < 0.5:
+        L = to_d(L)
+    den = poly(rng.randint(0, 1), 1) if rng.random() < 0.3 else Poly.one(field)
+    return DiffOp._from_cleared(field, L.basis, den or Poly.one(field), [N.shift(k) for N in L.nums]), mom, k
+
+
+def test_one_reading_at_zero_matches_the_numerator_route():
+    rng = random.Random(37)
+    fields = (QQ, GF(2), GF(3), GF(5), GF(7))
+    seen, moms = set(), 0
+    for i in range(2000):
+        field = fields[i % len(fields)]
+        L, mom_shaped, k = _random_local_operator(rng, field)
+        try:
+            expected = _indicial_by_numerators(L)
+        except NotSeriesExpandable:
+            expected = None
+            with pytest.raises(NotSeriesExpandable, match="^delta coefficient has a pole at 0$"):
+                indicial_at_zero(L)
+        else:
+            assert indicial_at_zero(L) == expected, L
+        collapses = expected == Poly.x(field) ** L.order
+        assert is_mom(L) == (collapses and singularities(L).is_fuchsian()), L
+        assert _local_polys(L)[0], L
+        if collapses:  # the recurrence reads the same Q_0, whatever power of z L carries
+            assert recurrence_from(L).polys[0] == Poly.x(field) ** L.order, L
+        else:
+            with pytest.raises(NotMomAtZero):
+                recurrence_from(L)
+        moms += is_mom(L)
+        seen |= {field, L.basis, L.order, k > 0, mom_shaped, collapses, expected is None}
+    assert seen >= {*fields, "d", "delta", 1, 2, 3, True, False}
+    assert 600 < moms < 1400, moms
+
+
+CATALOG_OPERATORS = ("g1", "g2", "g3", "f2", "f3", "apery")
+
+
+@pytest.mark.parametrize("name", CATALOG_OPERATORS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_power_of_z_leaves_the_reading_at_zero(name, k):
+    L = CAT[name].operator
+    zL = times_z(L, k)
+    assert zL.nums[0].valuation() == k
+    assert recurrence_from(zL) == recurrence_from(L)
+    assert is_mom(zL) and indicial_at_zero(zL) == indicial_at_zero(L)
+    if name in ("f2", "apery"):
+        assert frobenius_shadow(zL, 3, 27).F == frobenius_shadow(L, 3, 27).F
 
 
 def test_expand_leading_zero():

@@ -9,6 +9,8 @@ import pytest
 from lucascert import (
     SeqGen,
     assemble_certificate,
+    catalog_from_json,
+    catalog_to_json,
     certificate_from_json,
     default_catalog,
     diffop_from_json,
@@ -56,10 +58,9 @@ RECORDS = {
         ("polys", "span"), "span",
         lambda: recurrence_from(_fresh_apery_operator()),
     ),
-    # an entry with no operator: a DiffOp compares by value but has no hash
     "SeqGen": (
         ("name", "kind", "r", "operator", "initial"), "r",
-        lambda: SeqGen("cy210", "cy210"),
+        lambda: SeqGen("f2", "f_r", r=2, operator=diffop_from_json(diffop_to_json(CAT["f2"].operator))),
     ),
 }
 
@@ -88,3 +89,12 @@ def test_record_value_semantics(name):
 def test_certificate_json_round_trip_is_the_same_record(name, p):
     cert = assemble_certificate(CAT[name], p)
     assert certificate_from_json(cert.to_json()) == cert
+
+
+def test_every_catalog_entry_hashes_as_its_json_copy():
+    copy = catalog_from_json(catalog_to_json(CAT))
+    for name, entry in CAT.items():
+        assert copy[name] == entry and hash(copy[name]) == hash(entry), name
+    assert len(set(CAT.values())) == len(CAT)
+    # equal operators hash equal however they were built: f1 carries g2's
+    assert hash(CAT["f1"].operator) == hash(diffop_from_json(diffop_to_json(CAT["g2"].operator)))
