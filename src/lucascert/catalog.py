@@ -63,6 +63,8 @@ class SeqGen(namedtuple("SeqGen", "name kind r operator initial")):
             raise ValueError(f"operator entry {name!r} has no operator")
         if len(initial) != 1:  # a MOM recurrence leaves only a(0) free
             raise ValueError(f"entry {name!r} needs exactly one initial value, a(0)")
+        if kind != "operator" and tuple(initial) != (1,):  # the closed forms all start at a(0) = 1
+            raise ValueError(f"{kind} entry {name!r} has a(0) = 1 and takes no other initial value")
         if kind == "apery":
             if operator not in (None, APERY_OPERATOR):
                 raise ValueError(f"apery entry {name!r} carries an operator other than the Apery operator")
@@ -364,6 +366,8 @@ def catalog_from_json(data):
             raise ParseError(f"bad initial value: {exc}", location=f"{loc}.initial") from exc
         if len(initial) != 1:
             raise ParseError("initial must hold exactly one value, a(0)", location=f"{loc}.initial")
+        if kind != "operator" and initial != (1,):
+            raise ParseError(f"{kind} entries have a(0) = 1 and take no other initial value", location=f"{loc}.initial")
         if kind == "apery" and op not in (None, APERY_OPERATOR):
             raise ParseError("an apery entry carries the Apery operator or none", location=f"{loc}.operator")
         r = 0

@@ -62,9 +62,9 @@ MAX_EXPAND_R2T3 = 3**2 * MAX_EXPAND_T**3
 # cost grows about as T^3: 400 terms print in about 0.3 s and 1600 take 8-16 s (same host), and
 # 5000 would take several minutes
 MAX_SUM_EXPAND_T = 400
-# opinfo p-curvature budget, in p: on apery it takes about 0.04 s at p = 101 and 0.15 s at 211,
-# and grows about as p^1.9 (same host), so p = 401 takes 0.5 s; a random order-16 delta-operator
-# with degree-16 coefficients takes 0.66 s at p = 5. The order is not budgeted yet
+# opinfo p-curvature budget, in p: on apery it takes about 0.013 s at p = 101 and 0.05 s at 211,
+# and grows about as p^1.8 (2 cores, CPython 3.11.7), so p = 401 takes 0.17 s; a random order-16
+# delta-operator with degree-16 coefficients takes 0.12 s at p = 5. The order is not budgeted yet
 MAX_CURVATURE_P = 211
 # casebook budget, in p, for the cases whose work grows with p. Measured as the first case run in a
 # fresh process (2 cores, CPython 3.11.7, three runs each): independence, which expands its series

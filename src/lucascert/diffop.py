@@ -25,11 +25,12 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 from .errors import BadPrime, LeadingZero, NotMomAtZero, NotSeriesExpandable, ParseError
 from .fields import QQ, PrimeField, is_prime, primes_upto
-from .poly import Poly, _cleared, content, format_poly
+from .poly import Poly, _cleared, _packed_sum, content, format_poly
 from .ratfun import RatFun, common_denominator
 from .series import TruncSeries
 
@@ -400,9 +401,10 @@ def p_curvature(Lp):
 
     With A_1 = B_1/D from `companion`, A_k = B_k/D^k, and row i of A_k is
     row 0 of A_(k+i): the expression of d^(k+i) mod L in y, ..., y^(n-1).
-    So one row is iterated, r_0 = (1, 0, ..., 0) and
-    r_(k+1) = D*r_k' - k*D'*r_k + r_k*B_1, for p + n - 1 steps, and row i
-    of B_p is r_(p+i)/D^i (an exact division, which raises if it is not).
+    So one row is iterated on F_p coefficient lists, r_0 = (1, 0, ..., 0) and
+    r_(k+1) = D*r_k' - k*D'*r_k + r_k*B_1, one `_packed_sum` per entry, for
+    p steps.  As (D^p)' = 0 in characteristic p, row i + 1 of B_p is then
+    row_i' + row_i*B_1/D (an exact division, which raises if it is not).
     Returns ((D^p, B_p), is_nilpotent): A_p = B_p/D^p in the (den,
     polynomial matrix) shape of `companion`, unreduced.  A_p is the matrix of
     psi = d^p on K[d]/K[d]L, and psi commutes with d, so
@@ -413,16 +415,19 @@ def p_curvature(Lp):
     if not isinstance(field, PrimeField):
         raise TypeError("p-curvature requires an operator over a prime field")
     D, B1 = companion(to_d(Lp))
-    p, dD, zero = field.p, D.derivative(), Poly.zero(field)
-    r, B = [Poly.one(field)] + [zero] * (len(B1) - 1), []
-    for k in range(p + len(B1) - 1):
-        kdD = dD.scale(k)  # r*B_1 below: D*r_(j-1) from the superdiagonal, r_(n-1) times the last row
-        r = [D * (a.derivative() + b) - kdD * a + r[-1] * c for a, b, c in zip(r, [zero] + r[:-1], B1[-1])]
-        if k + 1 >= p:
-            B.append([e.exact_div(D ** len(B)) for e in r])
-    v = B[0]
+    p, d, dD, last = field.p, D.coeffs, D.derivative().coeffs, [c.coeffs for c in B1[-1]]
+    r = [(1,)] + [()] * (len(B1) - 1)
+    for k in range(p):  # r*B_1 below: D*r_(j-1) from the superdiagonal, r_(n-1) times the last row
+        kdD = [-k * c % p for c in dD]  # entry j: D*(a' + b) + (-k*D')*a + c*r_(n-1), a' + b summed mod p
+        r = [_packed_sum([(d, [(i * x + y) % p for i, (x, y) in enumerate(zip_longest(a[1:], b, fillvalue=0), 1)]),
+                          (kdD, a), (c, r[-1])], p) for a, b, c in zip(r, [()] + r[:-1], last)]
+    zero, B = Poly.zero(field), [[Poly._canonical(field, e) for e in r]]
+    for _ in range(len(B1) - 1):
+        row = B[-1]
+        B.append([a.derivative() + b + (row[-1] * c).exact_div(D) for a, b, c in zip(row, [zero] + row[:-1], B1[-1])])
+    cols, v = list(zip(*([e.coeffs for e in row] for row in B))), r
     for _ in range(len(B) - 1):
-        v = [sum((a * b for a, b in zip(v, col)), zero) for col in zip(*B)]
+        v = [_packed_sum(zip(v, col), p) for col in cols]
     return (D**p, B), not any(v)
 
 

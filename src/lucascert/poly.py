@@ -10,8 +10,8 @@ canonical by construction (`convolve`'s products, a scatter) go straight
 through `_canonical`, which `_reduced` ends in.  A loop that reads back an
 intermediate value (the leading remainder term in `divmod`, the Horner
 accumulator in `eval`, the running product in `resultant`) coerces it
-once, where it is read.  Multiplication over a prime field packs
-coefficients into a single big integer (Kronecker substitution) so that
+once, where it is read.  Multiplication over a prime field packs each
+operand into one big integer (Kronecker substitution, `_packed_sum`) so that
 products of the large polynomial powers in certificate heights stay cheap,
 and those powers go by base-p digits, P^p = P(z^p), with no squaring.
 
@@ -25,6 +25,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from math import gcd as int_gcd, lcm
+from operator import mul
 
 from .fields import QQ
 
@@ -412,7 +413,7 @@ def convolve(field, a, b, n):
 
     The one product loop of the library, shared by Poly and TruncSeries.
     a, b and the output hold canonical coefficients.  Over F_p, operands
-    that are long enough go through Kronecker substitution; everything else
+    that are long enough go through `_packed_sum` as one pair; everything else
     is schoolbook on ints (over Q, each operand `_cleared` on its own), with
     one `% p` or one `Fraction` per output coefficient.
     """
@@ -421,7 +422,7 @@ def convolve(field, a, b, n):
         return [field.zero] * n
     p = field.char  # 0 over Q
     if p and len(a) * len(b) >= _KRONECKER_CUTOFF * (len(a) + len(b)):
-        out = _kronecker_mul(a, b, p, n)
+        out = _packed_sum([(a, b)], p, n)
         return out + [0] * (n - len(out))
     if not p:
         (da, (a,)), (db, (b,)) = _cleared([a]), _cleared([b])
@@ -440,27 +441,36 @@ def convolve(field, a, b, n):
 @cache
 def _array_cell(width):
     """(array, size, code) of the narrowest `array` cell of >= width bytes, or None; `array` loads on first use."""
+    if sys.byteorder != "little":  # packed cells are read as little-endian integers
+        return None
     from array import array
     return next(((array, a.itemsize, a.typecode) for a in map(array, "BHIQ") if a.itemsize >= width), None)
 
 
-def _kronecker_mul(a, b, p, n):
-    """First n product coefficients over F_p, by packing each operand into one big integer.
+def _packed_sum(pairs, p, n=None):
+    """Coefficients mod p, no trailing zeros, of the sum of a*b over pairs (a, b) of F_p coefficient sequences.
 
-    Cells of up to 8 bytes pack through a native-endian `array`, wider ones
-    one coefficient at a time.  The product fills exactly len(a) + len(b) - 1
-    cells, so its low cells come first in either byte order.
+    Only the first n, when n is given.  Each operand is packed once into a big
+    integer (Kronecker substitution) whose cells hold any coefficient of the
+    sum, and the sum is unpacked once.  Cells of up to 8 bytes pack through an
+    `array`, wider ones one coefficient at a time.
     """
-    cell_bits = (min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 1
-    width = (cell_bits + 7) // 8
-    n = min(n, len(a) + len(b) - 1)
+    ops, cells, m = [], 0, 0
+    for a, b in pairs:
+        if a and b:
+            ops += a, b
+            cells, m = cells + min(len(a), len(b)), max(m, len(a) + len(b) - 1)
+    width = ((cells * (p - 1) ** 2).bit_length() + 8) // 8
     cell = _array_cell(width)
-    if cell is None:
-        ia = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-        ib = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
-        raw = (ia * ib).to_bytes(width * (len(a) + len(b)), "little")
-        return [int.from_bytes(raw[i * width : (i + 1) * width], "little") % p for i in range(n)]
-    array, width, code = cell
-    ia, ib = (int.from_bytes(array(code, cs).tobytes(), sys.byteorder) for cs in (a, b))
-    raw = (ia * ib).to_bytes(width * (len(a) + len(b) - 1), sys.byteorder)
-    return [c % p for c in array(code, raw[: width * n])]
+    if cell:
+        array, width, code = cell
+    ints = [int.from_bytes(array(code, cs).tobytes() if cell else b"".join(c.to_bytes(width, "little") for c in cs),
+                           "little") for cs in ops]
+    raw = sum(map(mul, ints[::2], ints[1::2])).to_bytes(width * m, "little")[: width * (m if n is None else min(n, m))]
+    if cell:
+        out = [c % p for c in array(code, raw)]
+    else:
+        out = [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, len(raw), width)]
+    while out and not out[-1]:
+        out.pop()
+    return out

@@ -323,17 +323,17 @@ SCHOOLBOOK_SHAPES = [(12, 2), (3, 3)]
 
 
 def test_oracle_catches_a_kronecker_cell_left_at_c_plus_p(monkeypatch):
-    kronecker = poly._kronecker_mul
+    packed = poly._packed_sum
 
-    def one_cell_plus_p(a, b, p, n):
-        out = kronecker(a, b, p, n)
-        out[n // 2] += p
+    def one_cell_plus_p(pairs, p, n=None):
+        out = packed(pairs, p, n)
+        out[len(out) // 2] += p
         return out
 
     checks = product_checks(KRONECKER_SHAPES)
     for check in checks:
         check()
-    monkeypatch.setattr(poly, "_kronecker_mul", one_cell_plus_p)
+    monkeypatch.setattr(poly, "_packed_sum", one_cell_plus_p)
     for check in checks:
         with pytest.raises(AssertionError):
             check()

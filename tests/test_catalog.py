@@ -111,6 +111,18 @@ def test_operator_entry_takes_exactly_one_initial_value(initial):
         catalog.SeqGen("x", "operator", operator=CAT["f2"].operator, initial=tuple(map(Fraction, initial)))
 
 
+
+@pytest.mark.parametrize("kind,extra", [("apery", {}), ("binom_power", {"r": 2}), ("f_r", {"r": 3}), ("cy210", {})])
+def test_closed_form_entry_refuses_an_initial_value_other_than_1(kind, extra):
+    # their a(0) is 1 whatever "initial" says: apery with ["3"] once expanded to 1, 5, 73
+    assert catalog_from_json([{"name": "a", "kind": kind, "initial": ["1"], **extra}])["a"].initial == (1,)
+    for initial in (["3"], ["7"], ["1/2"]):
+        with pytest.raises(ParseError, match=r"\(at entry\[0\]\.initial\)$"):
+            catalog_from_json([{"name": "a", "kind": kind, "initial": initial, **extra}])
+    with pytest.raises(ValueError, match=f"^{kind} entry 'a' has a\\(0\\) = 1 and takes no other initial value$"):
+        catalog.SeqGen("a", kind, r=extra.get("r", 0), initial=(Fraction(3),))
+
+
 def test_f2_closed_form():
     assert gen_terms(CAT["f2"], 4) == [1, -4, -12, -80]
     oracle = [Fraction(-(binom_factorial(2 * n, n) ** 2), 2 * n - 1) for n in range(4)]
@@ -383,6 +395,15 @@ def test_catalog_json_roundtrip():
     for name in ("f2", "apery"):
         assert gen_terms(back[name], 10) == gen_terms(CAT[name], 10)
         assert equals_up_to_factor(back[name].operator, CAT[name].operator)
+
+
+
+def test_default_catalog_entries_roundtrip_equal():
+    cat = default_catalog()
+    back = catalog_from_json(json.loads(json.dumps(catalog_to_json(cat))))
+    assert list(back) == list(cat)
+    for name, entry in cat.items():
+        assert back[name] == entry and hash(back[name]) == hash(entry), name
 
 
 def test_catalog_operator_entry_kind():

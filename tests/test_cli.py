@@ -161,15 +161,33 @@ def test_opinfo_over_recombination_budget_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def random_delta_operator_path(tmp_path, n):
+    """A delta-basis operator of order n with degree-n integer coefficients drawn from random.Random(n)."""
+    rng = random.Random(n)
+    coeffs = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n)]
+    coeffs.append([1] + [rng.randint(-9, 9) for _ in range(n)])
+    path = tmp_path / f"order{n}.json"
+    path.write_text(json.dumps({"basis": "delta", "coeffs": [{"num": c} for c in coeffs]}))
+    return str(path)
+
+
 def test_opinfo_order_16_p_curvature_is_fast(tmp_path, capsys):
     # testing B_p^n = 0 by n - 1 products of n x n polynomial matrices took 14 s on this operator
-    # (2 cores, CPython 3.11.7); with the first row of B_p^n alone opinfo takes about 1.5 s
-    rng = random.Random(16)
-    coeffs = [[rng.randint(-9, 9) for _ in range(17)] for _ in range(16)] + [[1] + [rng.randint(-9, 9) for _ in range(16)]]
-    path = tmp_path / "order16.json"
-    path.write_text(json.dumps({"basis": "delta", "coeffs": [{"num": c} for c in coeffs]}))
+    # (2 cores, CPython 3.11.7); with the first row of B_p^n alone opinfo took 1.1-1.5 s, and with
+    # one packed sum per row entry and no division by D^i it takes about 0.35 s
+    path = random_delta_operator_path(tmp_path, 16)
     start = time.perf_counter()
-    assert main(["opinfo", str(path), "--primes", "3,5"]) == 0
+    assert main(["opinfo", path, "--primes", "3,5"]) == 0
+    assert time.perf_counter() - start < 5
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_opinfo_order_24_p_curvature_is_fast(tmp_path, capsys):
+    # p-curvature on Poly objects with rows divided by D^i took 7.3 s here (2 cores, CPython 3.11.7);
+    # on packed F_p integers opinfo takes about 1.5 s
+    path = random_delta_operator_path(tmp_path, 24)
+    start = time.perf_counter()
+    assert main(["opinfo", path, "--primes", "3,5"]) == 0
     assert time.perf_counter() - start < 5
     assert "Traceback" not in capsys.readouterr().err
 

@@ -78,6 +78,8 @@ def _argv(rng, files):
         argv = [command, rng.choice(SERIES), "--T", T()]
     elif command == "opinfo":
         argv = [command, files[often(["op", "z_op"], sorted(files))]]
+        # p-curvature at its extreme primes: the budget edge, and 2 where it is allowed
+        argv += rng.choice([[], [], ["--primes", "211"], ["--primes", "2", "--allow-two"]])
     elif command == "certify":
         argv = [command, rng.choice(SERIES), "--T", T()]
         if rng.random() < 0.9:

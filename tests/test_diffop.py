@@ -652,15 +652,25 @@ def test_p_curvature_matches_matrix_oracle(name):
         assert p_curvature(Lp) == _p_curvature_matrix_oracle(Lp), (name, p)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_p_curvature_matches_matrix_oracle_on_random_delta_operators(p):
-    rng, seen = random.Random(p), set()
+    # each operator also in the d basis, whose leading coefficient z^n*N_n mostly has D(0) = 0
+    rng, seen, d_at_0 = random.Random(p), set(), []
     for _ in range(12):
         Lp = _random_delta_operator(rng, p)
-        got = p_curvature(Lp)
-        assert got == _p_curvature_matrix_oracle(Lp), str(Lp)
-        seen.add(got[1])
+        for L in (Lp, to_d(Lp)):
+            got = p_curvature(L)
+            assert got == _p_curvature_matrix_oracle(L), str(L)
+            seen.add(got[1])
+        d_at_0.append(companion(to_d(Lp))[0][0])
     assert seen == {True, False}
+    assert d_at_0.count(0) >= 6
+
+
+def test_p_curvature_of_order_0():
+    F5 = GF(5)
+    L = diffop_from_polys(F5, "d", [[1, 2]])
+    assert p_curvature(L) == ((Poly(F5, [1, 2]) ** 5, [[]]), True)
 
 
 @pytest.mark.parametrize("basis", ["d", "delta"])

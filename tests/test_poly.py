@@ -7,7 +7,7 @@ import pytest
 
 from lucascert import GF, QQ, Poly, default_catalog
 from lucascert.diffop import to_d
-from lucascert.poly import _cleared, content
+from lucascert.poly import _array_cell, _cleared, _packed_sum, content
 
 
 def to_poly(field, ints):
@@ -181,6 +181,48 @@ def test_kronecker_matches_schoolbook():
             for j, y in enumerate(b.coeffs):
                 school[i + j] = (school[i + j] + x * y) % 7
         assert list((a * b).coeffs) + [0] * (out_len - len((a * b).coeffs)) == school
+
+
+
+def schoolbook_sum(pairs, p):
+    """The sum of a*b over the pairs, mod p, by a double loop; no trailing zeros."""
+    out = [0] * max((len(a) + len(b) - 1 for a, b in pairs if a and b), default=0)
+    for a, b in pairs:
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 31, 2**61 - 1])
+def test_packed_sum_matches_schoolbook(p):
+    # at 2^61 - 1 a product cell needs more than 8 bytes, so the kernel packs byte by byte
+    assert (_array_cell(((p - 1) ** 2).bit_length() // 8 + 1) is None) == (p == 2**61 - 1)
+    rng = random.Random(p)
+
+    def draw(length=None):
+        return [rng.randrange(p) for _ in range(rng.choice([0, 1, 2, 5, 17, 60]) if length is None else length)]
+
+    cases = [[], [([], [])], [([1], []), ([], [1])]]  # no pair, empty operands
+    cases += [[(draw(), draw())] for _ in range(20)]
+    cases += [[(draw(), draw()) for _ in range(rng.randint(2, 6))] for _ in range(20)]
+    cases += [[([p - 1] * 60, [p - 1] * 60)] * 6]  # every cell at its largest before the reduction
+    for _ in range(10):  # a*b - a*b is zero; with b's top two terms negated, a*b + a*c drops in degree
+        a, b = draw(rng.randint(1, 20)) + [1], draw(rng.randint(2, 20)) + [1]
+        c = draw(len(b) - 2) + [-v % p for v in b[-2:]]
+        cases += [[(a, b), (a, [-v % p for v in b])], [(a, b), (a, c)], [(b, a), (c, a), (draw(), draw())]]
+    for pairs in cases:
+        want = schoolbook_sum(pairs, p)
+        assert _packed_sum(pairs, p) == want, pairs
+        n = rng.randint(0, len(want) + 2)
+        cut = want[:n]
+        while cut and not cut[-1]:
+            cut.pop()
+        assert _packed_sum(iter(pairs), p, n) == cut, (pairs, n)
+    assert any(not schoolbook_sum(pairs, p) and any(a and b for a, b in pairs) for pairs in cases)
 
 
 def recursive_resultant(a, b):
