@@ -41,6 +41,7 @@ from .poly import Poly
 from .series import TruncSeries, reduce_series_mod_p
 
 KINDS = ("binom_power", "f_r", "apery", "cy26", "cy210", "operator")
+_POWER_KINDS = ("binom_power", "f_r")  # the kinds that take r
 # budget of series_mod_p's route over Q, in terms: the n-th Apery number has about 1.53 n
 # digits, so memory grows as T^2; through `expand`, apery at T = 55000 peaks at 1000 MB in
 # 10-13 s and at T = 51712 at 886 MB in about 11 s (2 cores, CPython 3.11.7, in-process)
@@ -48,28 +49,35 @@ MAX_Q_T = 55000
 # the Apery operator z^2(z^2 - 34z + 1) d^3 + ... + (z - 5), polynomials by ascending
 # derivative order; every `apery` entry expands its recurrence from a(0) = 1
 APERY_OPERATOR = diffop_from_polys(QQ, "d", ((-5, 1), (1, -112, 7), (0, 3, -153, 6), (0, 0, 1, -34, 1)))
-_APERY_RECURRENCE = recurrence_from(APERY_OPERATOR)
+
+
+class _EntryRefused(ValueError):
+    """A broken entry rule; `field` names the entry field at fault, None for the entry as a whole."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class SeqGen(namedtuple("SeqGen", "name kind r operator initial")):
-    """Catalog entry: a named exact coefficient sequence with a(0) = 1."""
+    """Catalog entry: a named exact coefficient sequence with a(0) = 1; every entry rule is checked here."""
 
     __slots__ = ()
 
     def __new__(cls, name, kind, r=0, operator=None, initial=(Fraction(1),)):
         if kind not in KINDS:
-            raise ValueError(f"unknown generator kind {kind!r}")
+            raise _EntryRefused(f"unknown generator kind {kind!r}")
         if kind == "operator" and operator is None:
-            raise ValueError(f"operator entry {name!r} has no operator")
+            raise _EntryRefused(f"operator entry {name!r} has no operator")
         if len(initial) != 1:  # a MOM recurrence leaves only a(0) free
-            raise ValueError(f"entry {name!r} needs exactly one initial value, a(0)")
+            raise _EntryRefused(f"entry {name!r} needs exactly one initial value, a(0)", "initial")
         if kind != "operator" and tuple(initial) != (1,):  # the closed forms all start at a(0) = 1
-            raise ValueError(f"{kind} entry {name!r} has a(0) = 1 and takes no other initial value")
-        if kind == "apery":
-            if operator not in (None, APERY_OPERATOR):
-                raise ValueError(f"apery entry {name!r} carries an operator other than the Apery operator")
-            operator = APERY_OPERATOR
-        return super().__new__(cls, name, kind, r, operator, initial)
+            raise _EntryRefused(f"{kind} entry {name!r} has a(0) = 1 and takes no other initial value", "initial")
+        if kind == "apery" and operator not in (None, APERY_OPERATOR):
+            raise _EntryRefused(f"apery entry {name!r} carries an operator other than the Apery operator", "operator")
+        if kind in _POWER_KINDS and (type(r) is not int or r < 1):  # type() also rejects bool
+            raise _EntryRefused(f"{kind} entry {name!r} needs an integer r >= 1, got {r!r}", "r")
+        return super().__new__(cls, name, kind, r, APERY_OPERATOR if kind == "apery" else operator, initial)
 
 
 def gen_terms(g, T):
@@ -92,9 +100,7 @@ def _generate(g, T):
         return [Fraction(cy210_term(j)) for j in range(T)]
     if g.kind == "cy26":
         return [Fraction(cy26_term(j)) for j in range(T)]
-    if g.kind == "apery":  # the Apery numbers, from the operator every apery entry carries
-        return list(expand(_APERY_RECURRENCE, [QQ.one], T).coeffs)
-    if g.kind == "operator":
+    if g.kind in ("apery", "operator"):  # an apery entry carries APERY_OPERATOR and a(0) = 1
         return list(expand(recurrence_from(g.operator), list(g.initial), T).coeffs)
     raise UnknownSeries(g.kind)
 
@@ -328,7 +334,7 @@ def catalog_to_json(catalog):
     out = []
     for entry in catalog.values():
         item = {"name": entry.name, "kind": entry.kind}
-        if entry.kind in ("binom_power", "f_r"):
+        if entry.kind in _POWER_KINDS:
             item["r"] = entry.r
         if entry.operator is not None:
             item["operator"] = diffop_to_json(entry.operator)
@@ -339,7 +345,7 @@ def catalog_to_json(catalog):
 
 
 def catalog_from_json(data):
-    """Parse catalog JSON (a list of entries); raises ParseError on bad input."""
+    """Parse catalog JSON (a list of entries); a bad JSON type or a refused entry is a ParseError located in it."""
     data = json_value(data)
     if not isinstance(data, list):
         raise ParseError("catalog JSON must be an array of entries")
@@ -350,32 +356,21 @@ def catalog_from_json(data):
             raise ParseError("entry must have name and kind", location=loc)
         if not isinstance(item["name"], str):
             raise ParseError("name must be a string", location=f"{loc}.name")
-        kind = item["kind"]
-        if kind not in KINDS:
-            raise ParseError(f"unknown kind {kind!r}", location=loc)
-        op = None
-        if "operator" in item and item["operator"] is not None:
-            op = diffop_from_json(item["operator"])
-        elif kind == "operator":
-            raise ParseError("an operator entry needs an operator", location=loc)
+        kind, op = item["kind"], item.get("operator")
+        try:
+            op = None if op is None else diffop_from_json(op)
+        except ParseError as exc:
+            raise ParseError(exc.reason, location=".".join(filter(None, (loc, "operator", exc.location)))) from exc
         try:
             if any(isinstance(v, (bool, float)) for v in item.get("initial", ())):
                 raise TypeError("initial values must be integers or rational strings, not floats or booleans")
             initial = tuple(Fraction(v) for v in item.get("initial", ["1"]))
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"bad initial value: {exc}", location=f"{loc}.initial") from exc
-        if len(initial) != 1:
-            raise ParseError("initial must hold exactly one value, a(0)", location=f"{loc}.initial")
-        if kind != "operator" and initial != (1,):
-            raise ParseError(f"{kind} entries have a(0) = 1 and take no other initial value", location=f"{loc}.initial")
-        if kind == "apery" and op not in (None, APERY_OPERATOR):
-            raise ParseError("an apery entry carries the Apery operator or none", location=f"{loc}.operator")
-        r = 0
-        if kind in ("binom_power", "f_r"):
-            r = item.get("r")
-            if type(r) is not int or r < 1:  # type() also rejects bool
-                raise ParseError(f"r must be an integer >= 1, got {r!r}", location=f"{loc}.r")
-        entry = SeqGen(item["name"], kind, r=r, operator=op, initial=initial)
+        try:
+            entry = SeqGen(item["name"], kind, item.get("r") if kind in _POWER_KINDS else 0, op, initial)
+        except _EntryRefused as exc:
+            raise ParseError(str(exc), location=".".join(filter(None, (loc, exc.field)))) from exc
         catalog[entry.name] = entry
     return catalog
 

@@ -46,6 +46,7 @@ from .errors import (
     BudgetExceeded,
     HeightBoundViolated,
     NoCycleFound,
+    ParseError,
     ReconstructionFailed,
     SylvesterSingular,
 )
@@ -510,7 +511,9 @@ def _check_budget(T, stage):
 
 
 def verify_certificate(cert, f_p):
-    """Re-check a certificate against a freshly expanded reduction."""
+    """Re-check a certificate against a freshly expanded reduction: its identity, and height(A) <= bound."""
+    if cert.A.height > cert.bound:
+        return False
     try:
         _verify_power_identity(f_p, cert.A, f_p, cert.p, cert.level)
     except ReconstructionFailed:
@@ -521,6 +524,8 @@ def verify_certificate(cert, f_p):
 def certificate_from_json(data):
     field = PrimeField(data["p"])
     A = RatFun(Poly(field, data["A_num"]), Poly(field, data["A_den"]))
+    if data["height"] != A.height:
+        raise ParseError(f"height {data['height']!r} is not the height {A.height} of the reduced A", location="height")
     return Certificate(
         p=data["p"],
         level=data["level"],

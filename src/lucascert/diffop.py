@@ -358,11 +358,11 @@ def exponents_at_zero(L):
 
 
 def reduce_op_mod_p(L, p):
-    """Reduce a Q(z)-operator mod p after clearing to primitive integer form.
+    """Reduce a Q(z)-operator mod p: its numerators N_k, cleared to primitive integer form.
 
-    Raises BadPrime when p kills the leading coefficient or the leading
-    coefficient of the denominator lcm (either would change the operator's
-    order or singular structure mod p).
+    Raises BadPrime when p is not prime or kills N_0, which would lower the
+    order.  `den` is not read: which primes keep the singular structure is
+    `good_primes`'s test alone, and reduction succeeds at every good prime.
     """
     if not is_prime(p):
         raise BadPrime(f"{p} is not prime")
@@ -374,8 +374,6 @@ def reduce_op_mod_p(L, p):
     coeffs = [Poly(Fp, [v // g for v in s]) for s in ints]
     if coeffs[0].is_zero():
         raise BadPrime(f"leading coefficient vanishes mod {p}")
-    if int(L.den.content_primitive()[1].leading()) % p == 0:
-        raise BadPrime(f"denominator lcm leading coefficient vanishes mod {p}")
     return DiffOp._from_cleared(Fp, L.basis, Poly.one(Fp), coeffs)
 
 

@@ -89,7 +89,8 @@ class ParseError(LucascertError):
     """Malformed input: operator or catalog JSON, or a CLI value."""
 
     def __init__(self, message, location=None):
-        self.location = location
+        # the message without its location, so that an enclosing parser can re-locate it
+        self.reason, self.location = message, location
         if location is not None:
             message = f"{message} (at {location})"
         super().__init__(message)

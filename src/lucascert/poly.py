@@ -460,7 +460,7 @@ def _packed_sum(pairs, p, n=None):
         if a and b:
             ops += a, b
             cells, m = cells + min(len(a), len(b)), max(m, len(a) + len(b) - 1)
-    width = ((cells * (p - 1) ** 2).bit_length() + 8) // 8
+    width = ((cells * (p - 1) ** 2).bit_length() + 7) // 8
     cell = _array_cell(width)
     if cell:
         array, width, code = cell

@@ -72,14 +72,22 @@ def test_apery_recurrence_matches_double_sum_to_200():
     assert gen_terms(CAT["apery"], 200) == [apery_double_sum(n) for n in range(200)]
 
 
-def test_apery_expansion_runs_on_integers():
-    # the terms are integral, so the only Fractions made are the T final coercions
+def _fraction_calls(f, *args):
+    """Calls into fractions.py made by f(*args), by function name."""
     profile = cProfile.Profile()
-    profile.runcall(gen_terms, CAT["apery"], 500)
-    calls = {name: stats[1] for (path, _, name), stats in pstats.Stats(profile).stats.items()
-             if path.endswith("fractions.py")}
-    assert calls.get("__new__") == 500
-    assert not {"forward", "reverse", "_add", "_sub", "_mul", "_div"} & set(calls)
+    profile.runcall(f, *args)
+    return {name: stats[1] for (path, _, name), stats in pstats.Stats(profile).stats.items()
+            if path.endswith("fractions.py")}
+
+
+def test_apery_expansion_runs_on_integers():
+    # the terms are integral, so past the recurrence's extraction from the operator, which gen_terms
+    # also runs, the only Fractions made are the T final coercions
+    extraction = _fraction_calls(recurrence_from, catalog.APERY_OPERATOR)
+    calls = _fraction_calls(gen_terms, CAT["apery"], 500)
+    expansion = {name: n - extraction.get(name, 0) for name, n in calls.items()}
+    assert expansion.get("__new__") == 500
+    assert not any(expansion.get(name) for name in ("forward", "reverse", "_add", "_sub", "_mul", "_div"))
 
 
 def test_json_apery_entry_expands_the_builtin_operator():
@@ -121,6 +129,35 @@ def test_closed_form_entry_refuses_an_initial_value_other_than_1(kind, extra):
             catalog_from_json([{"name": "a", "kind": kind, "initial": initial, **extra}])
     with pytest.raises(ValueError, match=f"^{kind} entry 'a' has a\\(0\\) = 1 and takes no other initial value$"):
         catalog.SeqGen("a", kind, r=extra.get("r", 0), initial=(Fraction(3),))
+
+
+F2_OP = CAT["f2"].operator
+# the SeqGen fields of entries that each break one entry rule, and the location of the JSON refusal
+BAD_ENTRIES = [
+    pytest.param(dict(kind="nosuch"), "entry[0]", id="unknown-kind"),
+    pytest.param(dict(kind="operator"), "entry[0]", id="operator-missing"),
+    pytest.param(dict(kind="operator", operator=F2_OP, initial=()), "entry[0].initial", id="no-initial"),
+    pytest.param(dict(kind="operator", operator=F2_OP, initial=(1, 5)), "entry[0].initial", id="two-initial"),
+    pytest.param(dict(kind="cy26", initial=(3,)), "entry[0].initial", id="closed-form-initial"),
+    pytest.param(dict(kind="apery", operator=F2_OP), "entry[0].operator", id="apery-foreign-operator"),
+    *[pytest.param(dict(kind=kind, r=r), "entry[0].r", id=f"{kind}-r={r}")
+      for kind in ("binom_power", "f_r") for r in (0, -1, 2.5, True)],
+]
+
+
+@pytest.mark.parametrize("fields,location", BAD_ENTRIES)
+def test_entry_rules_refuse_alike_through_seqgen_and_json(fields, location):
+    # one rule, two routes: the ValueError of SeqGen is the ParseError of the JSON reader, located
+    with pytest.raises(ValueError) as refused:
+        catalog.SeqGen("x", **fields)
+    item = {"name": "x", **fields}
+    if "operator" in item:
+        item["operator"] = diffop_to_json(item["operator"])
+    if "initial" in item:
+        item["initial"] = [str(v) for v in item["initial"]]
+    with pytest.raises(ParseError) as parsed:
+        catalog_from_json(json.loads(json.dumps([item])))
+    assert str(parsed.value) == f"{refused.value} (at {location})"
 
 
 def test_f2_closed_form():

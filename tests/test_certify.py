@@ -13,6 +13,7 @@ from lucascert import (
     DiffOp,
     NoCycleFound,
     NotSeriesExpandable,
+    ParseError,
     Poly,
     RatFun,
     ReconstructionFailed,
@@ -658,6 +659,19 @@ def test_certificate_soundness_independent_reverify():
         back = certificate_from_json(cert.to_json())
         assert back.A == cert.A
         assert verify_certificate(back, fresh)
+
+
+def test_loaded_certificate_claims_are_rechecked():
+    # certify f2 -p 3, then its JSON edited: a stored height must be A's, and A must keep within the bound
+    cert = assemble_certificate(CAT["f2"], 3)
+    fresh = reduce_series_mod_p(series_over_q(CAT["f2"], cert.verified_to), 3)
+    assert cert.A.height == 12 and verify_certificate(cert, fresh)
+    with pytest.raises(ParseError, match=r"\(at height\)$"):
+        certificate_from_json({**cert.to_json(), "height": 1, "bound": 0})
+    for bound in (0, 11):
+        edited = certificate_from_json({**cert.to_json(), "bound": bound})
+        assert edited.height == 12 and not verify_certificate(edited, fresh)
+    assert verify_certificate(certificate_from_json({**cert.to_json(), "bound": 12}), fresh)
 
 
 def _step(P):

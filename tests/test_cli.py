@@ -249,15 +249,28 @@ OPERATOR = {"basis": "d", "coeffs": [{"num": [-2]}, {"num": [1, -4]}]}
          "entry[0].initial"),
         ({"name": "x", "kind": "operator", "operator": OPERATOR, "initial": [True]},
          "entry[0].initial"),
+        ({"name": "x", "kind": "operator", "operator": {**OPERATOR, "basis": "z"}},
+         "entry[0].operator.basis"),
+        ({"name": "x", "kind": "operator", "operator": {"basis": "d", "coeffs": [{"num": [-2]}, {"num": [1, -4.0]}]}},
+         "entry[0].operator.coeffs[1]"),
     ],
     ids=["initial-abc", "r-two", "operator-missing", "name-list", "r-negative", "r-zero",
-         "r-float", "r-bool", "initial-float", "initial-bool"],
+         "r-float", "r-bool", "initial-float", "initial-bool", "operator-basis", "operator-float-coefficient"],
 )
 def test_bad_catalog_entry_is_parse_error(tmp_path, capsys, entry, location):
     path = tmp_path / "cat.json"
     path.write_text(json.dumps([entry]))
     assert main(["expand", "x", "--T", "64", "--catalog", str(path)]) == 1
     assert f"(at {location})" in capsys.readouterr().err
+
+
+def test_opinfo_gives_each_good_prime_a_p_curvature_verdict(tmp_path, capsys):
+    # (1/(3z - 1))(d + 1): 3 divides the leading coefficient of den, yet is good, and reduces to d + 1
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"basis": "d", "coeffs": [{"num": [1], "den": [-1, 3]}, {"num": [1], "den": [-1, 3]}]}))
+    assert main(["opinfo", str(path), "--primes", "3,5", "--format", "json"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert 3 in info["good_primes"] and info["p_curvature_nilpotent"] == {"3": False, "5": False}
 
 
 @pytest.mark.parametrize("value", [-2.7, True], ids=["float", "bool"])

@@ -9,7 +9,7 @@ import pytest
 
 from lucascert import catalog_to_json, default_catalog, diffop_to_json
 from lucascert.cli import main
-from test_diffop import times_z
+from test_diffop import random_operator_json_with_denominators, times_z
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -28,6 +28,8 @@ def files(tmp_path_factory):
     contents = {
         "op": json.dumps(diffop_to_json(cat["f2"].operator)),
         "z_op": json.dumps(z_ops["f2"]),
+        # rewritten with a random operator whenever the opinfo grammar draws it
+        "den_op": json.dumps({"basis": "d", "coeffs": [{"num": [1], "den": [-1, 3]}, {"num": [1], "den": [-1, 3]}]}),
         "catalog": json.dumps(catalog_to_json(cat) + [{"name": "f4", "kind": "f_r", "r": 4}]
                               + [{"name": f"z{n}", "kind": "operator", "operator": op} for n, op in z_ops.items()]),
         "garbage": "{not json",
@@ -77,7 +79,10 @@ def _argv(rng, files):
     if command == "expand":
         argv = [command, rng.choice(SERIES), "--T", T()]
     elif command == "opinfo":
-        argv = [command, files[often(["op", "z_op"], sorted(files))]]
+        argv = [command, files[often(["op", "z_op", "den_op"], sorted(files))]]
+        if argv[1] == files["den_op"]:  # an operator with coefficient denominators
+            with open(argv[1], "w", encoding="utf-8") as fh:
+                json.dump(random_operator_json_with_denominators(rng), fh)
         # p-curvature at its extreme primes: the budget edge, and 2 where it is allowed
         argv += rng.choice([[], [], ["--primes", "211"], ["--primes", "2", "--allow-two"]])
     elif command == "certify":

@@ -489,6 +489,25 @@ def test_reduce_bad_prime_on_killed_leading():
         reduce_op_mod_p(L, 3)
 
 
+def random_operator_json_with_denominators(rng):
+    """Operator JSON of order 1-3, each coefficient a num of 1-3 and a den of 1-2 nonzero integers in [-6, 6]."""
+    def ints(k):
+        return [rng.choice([v for v in range(-6, 7) if v]) for _ in range(k)]
+    coeffs = [{"num": ints(rng.randint(1, 3)), "den": ints(rng.randint(1, 2))} for _ in range(rng.randint(2, 4))]
+    return {"basis": rng.choice(["d", "delta"]), "coeffs": coeffs}
+
+
+def test_reduction_succeeds_at_every_good_prime():
+    # good_primes is the one good-prime test, and reduce_op_mod_p, which reads nothing of den, agrees with it
+    rng, denominators = random.Random(7), 0
+    for _ in range(400):
+        L = diffop_from_json(random_operator_json_with_denominators(rng))
+        denominators += L.den.degree() > 0
+        for p in good_primes(L, 60):
+            assert reduce_op_mod_p(L, p).order == L.order, (L, p)
+    assert denominators > 300
+
+
 def test_reduction_and_json_match_the_fraction_division_route():
     def primitive(polys):
         """Integer coefficients by the former route: each one divided by the Fraction content."""
@@ -510,7 +529,7 @@ def test_reduction_and_json_match_the_fraction_division_route():
         assert [[c["num"], c["den"]] for c in data["coeffs"]] == [primitive([c.num, c.den]) for c in L.coeffs[::-1]]
         for p in (2, 3, 5, 7, 101):
             nums = [Poly(GF(p), cs) for cs in primitive(L.nums)]
-            if not nums[0] or primitive([L.den])[0][-1] % p == 0:
+            if not nums[0]:  # den is not read: only a killed N_0 is a BadPrime here
                 with pytest.raises(BadPrime):
                     reduce_op_mod_p(L, p)
                 seen.add("bad")

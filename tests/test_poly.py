@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from lucascert import GF, QQ, Poly, default_catalog
+from lucascert import GF, QQ, Poly, default_catalog, poly
 from lucascert.diffop import to_d
 from lucascert.poly import _array_cell, _cleared, _packed_sum, content
 
@@ -223,6 +223,15 @@ def test_packed_sum_matches_schoolbook(p):
             cut.pop()
         assert _packed_sum(iter(pairs), p, n) == cut, (pairs, n)
     assert any(not schoolbook_sum(pairs, p) and any(a and b for a, b in pairs) for pairs in cases)
+
+
+def test_packed_sum_cells_are_as_narrow_as_the_sum_allows(monkeypatch):
+    # one pair of length 60 at p = 31 bounds each coefficient by 60 * 30^2 = 54000, of 16 bits: 2-byte cells
+    widths = []
+    monkeypatch.setattr(poly, "_array_cell", lambda width: widths.append(width) or _array_cell(width))
+    a, b = [30] * 60, [30] * 60
+    assert _packed_sum([(a, b)], 31) == schoolbook_sum([(a, b)], 31)
+    assert widths == [2] and _array_cell(2)[1] == 2
 
 
 def recursive_resultant(a, b):
